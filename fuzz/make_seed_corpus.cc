@@ -254,22 +254,6 @@ int main(int argc, char** argv) {
             wire::MessageType::kStatsReply,
             wire::EncodeStatsReply(stats_with_generation),
             wire::StatsReplyWireVersion(stats_with_generation)));
-    // v5 stats shapes: request at the shard-reporting version, and a
-    // reply whose generation field carries the trailing shard count.
-    wire::StatsRequest stats_v5;
-    stats_v5.version = wire::kStatsShardsWireVersion;
-    WriteFileOrDie(root / "wire" / "stats_v5.bin",
-                   wire::EncodeFrame(wire::MessageType::kStats,
-                                     wire::EncodeStatsRequest(stats_v5),
-                                     wire::kStatsShardsWireVersion));
-    wire::StatsReply stats_with_shards = stats_with_generation;
-    stats_with_shards.has_shards = true;
-    stats_with_shards.num_shards = 4;
-    WriteFileOrDie(
-        root / "wire" / "stats_reply_v5.bin",
-        wire::EncodeFrame(wire::MessageType::kStatsReply,
-                          wire::EncodeStatsReply(stats_with_shards),
-                          wire::StatsReplyWireVersion(stats_with_shards)));
   }
 
   // ingest_log: a valid streaming log (two batches + a real mine-state

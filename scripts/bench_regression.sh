@@ -106,46 +106,11 @@ kill -TERM "$SERVE_PID"
 wait "$SERVE_PID"
 SERVE_PID=
 
-# --- Phase 2b: the same load against a sharded, multi-loop server -----
-# Two anchor shards, two-wide query fan-out, two event loops. The
-# sharded path must report byte-for-byte the same deterministic work
-# as the unsharded phase (scripts/shard_sweep.sh gates that identity
-# directly); this phase pins it in the baseline so a counter regression
-# in the shard merge shows up even outside the sweep job.
-"$BUILD/tools/graphsig_serve" --model="$WORK/model.gsig" --port=0 \
-  --shards=2 --threads=2 --loops=2 --max-inflight=4096 \
-  --metrics-out="$WORK/serve_sharded_metrics.json" \
-  >"$WORK/serve.out" 2>"$WORK/serve.err" &
-SERVE_PID=$!
-
-PORT=
-for _ in $(seq 1 100); do
-  PORT=$(sed -n 's/.*listening on [0-9.]*:\([0-9]*\)$/\1/p' "$WORK/serve.out")
-  [ -n "$PORT" ] && break
-  kill -0 "$SERVE_PID" 2>/dev/null || { cat "$WORK/serve.err" >&2; exit 1; }
-  sleep 0.1
-done
-if [ -z "$PORT" ]; then
-  echo "bench_regression: failed to scrape port from sharded serve:" >&2
-  cat "$WORK/serve.out" "$WORK/serve.err" >&2
-  exit 1
-fi
-
-"$BUILD/tools/graphsig_loadgen" --port="$PORT" --input="$WORK/screen.smi" \
-  --qps=400 --count=100 --connections=2 --seed=7 \
-  --mix=0.25 --approx-samples=32 \
-  --json="$WORK/loadgen_sharded.json"
-
-kill -TERM "$SERVE_PID"
-wait "$SERVE_PID"
-SERVE_PID=
-
 if [ -n "${BENCH_ARTIFACT_DIR:-}" ]; then
   mkdir -p "$BENCH_ARTIFACT_DIR"
   cp "$WORK/mine_metrics.json" "$WORK/sample_metrics.json" \
-     "$WORK/serve_metrics.json" "$WORK/serve_sharded_metrics.json" \
-     "$WORK/micro_metrics.json" "$WORK/ingest_metrics.json" \
-     "$WORK/loadgen.json" "$WORK/loadgen_sharded.json" \
+     "$WORK/serve_metrics.json" "$WORK/micro_metrics.json" \
+     "$WORK/ingest_metrics.json" "$WORK/loadgen.json" \
      "$BENCH_ARTIFACT_DIR/"
 fi
 
@@ -155,7 +120,6 @@ if [ "$MODE" = "--refresh" ]; then
     --baseline="$BASELINE" \
     mine="$WORK/mine_metrics.json" sample="$WORK/sample_metrics.json" \
     serve="$WORK/serve_metrics.json" \
-    serve_sharded="$WORK/serve_sharded_metrics.json" \
     micro="$WORK/micro_metrics.json" \
     ingest="$WORK/ingest_metrics.json"
 else
@@ -163,7 +127,6 @@ else
     --baseline="$BASELINE" \
     mine="$WORK/mine_metrics.json" sample="$WORK/sample_metrics.json" \
     serve="$WORK/serve_metrics.json" \
-    serve_sharded="$WORK/serve_sharded_metrics.json" \
     micro="$WORK/micro_metrics.json" \
     ingest="$WORK/ingest_metrics.json"
 fi

@@ -1,22 +1,18 @@
 #!/usr/bin/env bash
-# Loopback smoke for the serving pipeline, run as a shard x mix matrix:
-# for each shard count, start graphsig_serve on an ephemeral port with
-# that --shards value (two event loops, so accept sharding is live),
-# drive a short verified workload with graphsig_loadgen in both an
-# exact-only and a mixed exact/approx shape, cross-check the server's
-# Stats-RPC counters against the client-side tallies, then SIGTERM the
-# server and require a clean drain. Used by the tool_serve_loadgen
-# ctest and the CI server-smoke job.
+# Loopback smoke for the serving pipeline: for each workload shape
+# (exact-only, then mixed exact/approx), start graphsig_serve on an
+# ephemeral port, drive a short verified workload with graphsig_loadgen,
+# cross-check the server's Stats-RPC counters against the client-side
+# tallies, then SIGTERM the server and require a clean drain. Used by
+# the tool_serve_loadgen ctest and the CI server-smoke job.
 #
-#   serve_smoke.sh <graphsig_serve> <graphsig_loadgen> <model> <workload> \
-#                  [shard counts, default "1 2"]
+#   serve_smoke.sh <graphsig_serve> <graphsig_loadgen> <model> <workload>
 set -euo pipefail
 
 SERVE_BIN=$1
 LOADGEN_BIN=$2
 MODEL=$3
 WORKLOAD=$4
-SHARD_COUNTS=${5:-"1 2"}
 
 OUT=$(mktemp)
 ERR=$(mktemp)
@@ -35,14 +31,13 @@ cleanup() {
 }
 trap cleanup EXIT
 
-# One matrix cell: serve at $1 shards, load at mix fraction $2, verify
-# replies against the model and the Stats counters against the tally.
+# One run: load at mix fraction $1, verify replies against the model
+# and the Stats counters against the tally.
 run_case() {
-  local shards=$1 mix=$2
+  local mix=$1
   : >"$OUT"; : >"$ERR"
 
-  "$SERVE_BIN" --model="$MODEL" --port=0 --shards="$shards" --threads=2 \
-    --loops=2 >"$OUT" 2>"$ERR" &
+  "$SERVE_BIN" --model="$MODEL" --port=0 >"$OUT" 2>"$ERR" &
   SERVE_PID=$!
 
   # Scrape the port inside the wait loop and fail loudly with the
@@ -63,8 +58,7 @@ run_case() {
   fi
 
   # --mix sends a deterministic slice of the schedule as approx
-  # (sampled-support) queries; mix=0 keeps the run exact-only so both
-  # workload shapes cross every shard topology.
+  # (sampled-support) queries; mix=0 keeps the run exact-only.
   "$LOADGEN_BIN" --port="$port" --input="$WORKLOAD" --qps=150 --duration=1 \
     --connections=2 --seed=7 --mix="$mix" --approx-samples=32 \
     --verify-model="$MODEL" --json="$JSON"
@@ -72,14 +66,13 @@ run_case() {
   # The server's Stats-RPC counters must agree exactly with what the
   # client observed: every ok reply was a served request (split by class
   # into serve/queries and serve/approx_queries), every RETRY_LATER was
-  # counted as a sent retry, the received frames are the requests plus
-  # the one Stats frame that took the snapshot, and the reported shard
-  # count is exactly what the server was launched with.
-  python3 - "$JSON" "$shards" "$mix" <<'EOF'
+  # counted as a sent retry, and the received frames are the requests
+  # plus the one Stats frame that took the snapshot.
+  python3 - "$JSON" "$mix" <<'EOF'
 import json, sys
 
 report = json.load(open(sys.argv[1]))
-shards, mix = int(sys.argv[2]), float(sys.argv[3])
+mix = float(sys.argv[2])
 totals, server = report["totals"], report["server"]
 failures = []
 
@@ -91,7 +84,6 @@ expect("requests_served", server["requests_served"], totals["ok"])
 expect("retries_sent", server["retries_sent"], totals["retry_later"])
 expect("frames_received", server["frames_received"],
        totals["ok"] + totals["retry_later"] + 1)
-expect("shards", server.get("shards"), shards)
 if mix > 0 and totals["ok_approx"] == 0:
     failures.append("mixed workload produced no ok approx replies")
 if mix == 0 and totals["ok_approx"] != 0:
@@ -118,8 +110,7 @@ else:
             failures.append("approx queries drew no samples")
 
 for f in failures:
-    print(f"serve_smoke[shards={shards} mix={mix}]: stats mismatch - {f}",
-          file=sys.stderr)
+    print(f"serve_smoke[mix={mix}]: stats mismatch - {f}", file=sys.stderr)
 sys.exit(1 if failures else 0)
 EOF
 
@@ -127,15 +118,13 @@ EOF
   wait "$SERVE_PID"
   SERVE_PID=
   grep -q "drained:" "$ERR" || {
-    echo "server did not drain (shards=$shards mix=$mix)" >&2
+    echo "server did not drain (mix=$mix)" >&2
     cat "$ERR" >&2
     exit 1
   }
 }
 
-for shards in $SHARD_COUNTS; do
-  for mix in 0 0.3; do
-    echo "serve_smoke: shards=$shards mix=$mix"
-    run_case "$shards" "$mix"
-  done
+for mix in 0 0.3; do
+  echo "serve_smoke: mix=$mix"
+  run_case "$mix"
 done

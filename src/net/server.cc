@@ -6,15 +6,14 @@
 #include <sys/eventfd.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <array>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
 #include "util/logging.h"
 #include "util/strings.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace graphsig::net {
@@ -71,14 +70,6 @@ obs::Histogram* ReplyBytesHistogram() {
   return h;
 }
 
-// Cross-loop connection handoffs: how often loop 0 accepted for
-// another loop. Scales with num_loops, so advisory by construction.
-obs::Counter* HandoffCounter() {
-  static obs::Counter* const c =
-      obs::MetricsRegistry::Global().GetAdvisoryCounter("net/loop_handoffs");
-  return c;
-}
-
 // epoll user-data sentinels; real connections start at id 2.
 constexpr uint64_t kListenerId = 0;
 constexpr uint64_t kWakeupId = 1;
@@ -86,9 +77,6 @@ constexpr uint64_t kWakeupId = 1;
 // re-notifies while more bytes are pending, so a flooding client cannot
 // starve other connections.
 constexpr size_t kReadChunkBytes = 64 * 1024;
-// Sanity cap on configured event loops; anything near it is a
-// misconfiguration on any real machine.
-constexpr int kMaxLoops = 64;
 
 std::string ErrorFrame(const util::Status& status) {
   wire::ErrorReply reply;
@@ -120,60 +108,36 @@ util::Status Server::Start() {
   GS_RETURN_IF_ERROR(SetNonBlocking(listener_.fd(), true));
   GS_ASSIGN_OR_RETURN(port_, LocalPort(listener_));
 
-  const int num_loops =
-      std::clamp(config_.num_loops, 1, kMaxLoops);
-  loops_.reserve(static_cast<size_t>(num_loops));
-  for (int i = 0; i < num_loops; ++i) {
-    auto loop = std::make_unique<EventLoop>();
-    loop->index = i;
-    const int epfd = ::epoll_create1(0);
-    if (epfd < 0) return Errno("epoll_create1");
-    loop->epoll.Reset(epfd);
-    const int evfd = ::eventfd(0, EFD_NONBLOCK);
-    if (evfd < 0) return Errno("eventfd");
-    loop->wakeup.Reset(evfd);
+  const int epfd = ::epoll_create1(0);
+  if (epfd < 0) return Errno("epoll_create1");
+  epoll_.Reset(epfd);
+  const int evfd = ::eventfd(0, EFD_NONBLOCK);
+  if (evfd < 0) return Errno("eventfd");
+  wakeup_.Reset(evfd);
 
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.u64 = kWakeupId;
-    if (::epoll_ctl(loop->epoll.fd(), EPOLL_CTL_ADD, loop->wakeup.fd(),
-                    &ev) != 0) {
-      return Errno("epoll_ctl(eventfd)");
-    }
-    if (i == 0) {
-      ev.data.u64 = kListenerId;
-      if (::epoll_ctl(loop->epoll.fd(), EPOLL_CTL_ADD, listener_.fd(),
-                      &ev) != 0) {
-        return Errno("epoll_ctl(listener)");
-      }
-    }
-    if (config_.workers_per_loop > 0) {
-      loop->pool =
-          std::make_unique<util::ThreadPool>(config_.workers_per_loop);
-    }
-    loops_.push_back(std::move(loop));
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.u64 = kWakeupId;
+  if (::epoll_ctl(epoll_.fd(), EPOLL_CTL_ADD, wakeup_.fd(), &ev) != 0) {
+    return Errno("epoll_ctl(eventfd)");
+  }
+  ev.data.u64 = kListenerId;
+  if (::epoll_ctl(epoll_.fd(), EPOLL_CTL_ADD, listener_.fd(), &ev) != 0) {
+    return Errno("epoll_ctl(listener)");
   }
   started_ = true;
-  util::LogInfo(util::StrPrintf(
-      "server listening on %s:%u (%d event loop(s), %s workers)",
-      config_.host.c_str(), port_, num_loops,
-      config_.workers_per_loop > 0
-          ? util::StrPrintf("%d per-loop", config_.workers_per_loop).c_str()
-          : "shared-pool"));
+  util::LogInfo(util::StrPrintf("server listening on %s:%u",
+                                config_.host.c_str(), port_));
   return util::Status::Ok();
 }
 
 void Server::RequestShutdown() {
   shutdown_requested_.store(true, std::memory_order_release);
-  // Async-signal-safe wakeup: one 8-byte write per loop's eventfd (the
-  // vector is immutable after Start(), so iterating it allocates
-  // nothing). Each loop notices the flag on its next iteration even if
-  // a write is lost to a full counter.
+  // Async-signal-safe wakeup: one 8-byte eventfd write. The loop
+  // notices the flag on its next iteration even if the write is lost
+  // to a full counter.
   const uint64_t one = 1;
-  for (const auto& loop : loops_) {
-    [[maybe_unused]] ssize_t n =
-        ::write(loop->wakeup.fd(), &one, sizeof(one));
-  }
+  [[maybe_unused]] ssize_t n = ::write(wakeup_.fd(), &one, sizeof(one));
 }
 
 ServerCounters Server::counters() const {
@@ -181,37 +145,75 @@ ServerCounters Server::counters() const {
   return counters_;
 }
 
-util::ThreadPool* Server::PoolFor(EventLoop* loop) {
-  return loop->pool != nullptr ? loop->pool.get()
-                               : &util::ThreadPool::Global();
-}
-
 util::Status Server::Serve() {
   if (!started_) {
     return util::Status::FailedPrecondition("Start() must succeed first");
   }
-  std::vector<util::Status> statuses(loops_.size(), util::Status::Ok());
-  std::vector<std::thread> threads;
-  threads.reserve(loops_.size() - 1);
-  for (size_t i = 1; i < loops_.size(); ++i) {
-    threads.emplace_back([this, i, &statuses] {
-      statuses[i] = ServeLoop(loops_[i].get());
-      // A loop dying on an epoll error must not leave its siblings
-      // serving half a server; fail the whole process into a drain.
-      if (!statuses[i].ok()) RequestShutdown();
-    });
-  }
-  statuses[0] = ServeLoop(loops_[0].get());
-  if (!statuses[0].ok()) RequestShutdown();
-  for (std::thread& t : threads) t.join();
-
-  // A socket can be left in a handoff queue when its target loop
-  // exited between the push and the wakeup (only possible in the
-  // accept/drain race window). Closing it here is the same outcome the
-  // client would have seen connecting a moment later: EOF, no reply.
-  for (const auto& loop : loops_) {
-    util::MutexLock lock(&loop->handoff_mutex);
-    loop->handoff.clear();
+  util::WallTimer drain_timer;
+  util::WallTimer stats_log_timer;
+  std::array<epoll_event, 64> events;
+  while (!(drain_started_ && connections_.empty() && inflight_total_ == 0)) {
+    // Block indefinitely in steady state; tick during drain so the
+    // force-close deadline fires even with no socket activity. With
+    // periodic stats logging enabled, wake at least often enough that
+    // the next line is at most half a period late on an idle server.
+    int timeout_ms = drain_started_ ? 50 : -1;
+    if (config_.stats_log_period_seconds > 0.0) {
+      if (stats_log_timer.ElapsedSeconds() >=
+          config_.stats_log_period_seconds) {
+        LogStatsLine();
+        stats_log_timer.Restart();
+      }
+      const int tick_ms = static_cast<int>(
+          config_.stats_log_period_seconds * 500.0) + 1;
+      if (timeout_ms < 0 || tick_ms < timeout_ms) timeout_ms = tick_ms;
+    }
+    const int n = ::epoll_wait(epoll_.fd(), events.data(),
+                               static_cast<int>(events.size()),
+                               timeout_ms);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return Errno("epoll_wait");
+    }
+    for (int i = 0; i < n; ++i) {
+      const uint64_t id = events[i].data.u64;
+      if (id == kListenerId) {
+        HandleListener();
+        continue;
+      }
+      if (id == kWakeupId) {
+        uint64_t drained;
+        while (::read(wakeup_.fd(), &drained, sizeof(drained)) > 0) {
+        }
+        DrainCompletions();
+        continue;
+      }
+      auto it = connections_.find(id);
+      if (it == connections_.end()) continue;  // closed this batch
+      Connection* conn = it->second.get();
+      if (events[i].events & (EPOLLIN | EPOLLHUP | EPOLLERR)) {
+        HandleConnectionRead(id, conn);
+      }
+      // The read may have erased the connection; re-find before writing.
+      it = connections_.find(id);
+      if (it != connections_.end() && (events[i].events & EPOLLOUT)) {
+        HandleConnectionWrite(id, it->second.get());
+      }
+    }
+    if (shutdown_requested_.load(std::memory_order_acquire) &&
+        !drain_started_) {
+      BeginDrain();
+      drain_timer.Restart();
+    }
+    if (drain_started_ && !connections_.empty() &&
+        drain_timer.ElapsedSeconds() > config_.drain_timeout_seconds) {
+      util::LogWarning(util::StrPrintf(
+          "drain timeout: force-closing %zu connection(s)",
+          connections_.size()));
+      while (!connections_.empty()) {
+        EraseConnection(connections_.begin()->first);
+      }
+    }
   }
 
   util::LogInfo(util::StrPrintf(
@@ -223,86 +225,10 @@ util::Status Server::Serve() {
       static_cast<unsigned long long>(counters().protocol_errors),
       static_cast<unsigned long long>(counters().retries_sent)));
   util::FlushLogs();
-  for (const util::Status& status : statuses) {
-    if (!status.ok()) return status;
-  }
   return util::Status::Ok();
 }
 
-util::Status Server::ServeLoop(EventLoop* loop) {
-  util::WallTimer drain_timer;
-  util::WallTimer stats_log_timer;
-  std::array<epoll_event, 64> events;
-  while (!(loop->drain_started && loop->connections.empty() &&
-           loop->inflight_total == 0)) {
-    // Block indefinitely in steady state; tick during drain so the
-    // force-close deadline fires even with no socket activity. With
-    // periodic stats logging enabled, loop 0 wakes at least often
-    // enough that the next line is at most half a period late on an
-    // idle server.
-    int timeout_ms = loop->drain_started ? 50 : -1;
-    if (loop->index == 0 && config_.stats_log_period_seconds > 0.0) {
-      if (stats_log_timer.ElapsedSeconds() >=
-          config_.stats_log_period_seconds) {
-        LogStatsLine();
-        stats_log_timer.Restart();
-      }
-      const int tick_ms = static_cast<int>(
-          config_.stats_log_period_seconds * 500.0) + 1;
-      if (timeout_ms < 0 || tick_ms < timeout_ms) timeout_ms = tick_ms;
-    }
-    const int n = ::epoll_wait(loop->epoll.fd(), events.data(),
-                               static_cast<int>(events.size()),
-                               timeout_ms);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Errno("epoll_wait");
-    }
-    for (int i = 0; i < n; ++i) {
-      const uint64_t id = events[i].data.u64;
-      if (id == kListenerId) {
-        HandleListener(loop);
-        continue;
-      }
-      if (id == kWakeupId) {
-        uint64_t drained;
-        while (::read(loop->wakeup.fd(), &drained, sizeof(drained)) > 0) {
-        }
-        DrainCompletions(loop);
-        AdoptHandoffs(loop);
-        continue;
-      }
-      auto it = loop->connections.find(id);
-      if (it == loop->connections.end()) continue;  // closed this batch
-      Connection* conn = it->second.get();
-      if (events[i].events & (EPOLLIN | EPOLLHUP | EPOLLERR)) {
-        HandleConnectionRead(loop, id, conn);
-      }
-      // The read may have erased the connection; re-find before writing.
-      it = loop->connections.find(id);
-      if (it != loop->connections.end() && (events[i].events & EPOLLOUT)) {
-        HandleConnectionWrite(loop, id, it->second.get());
-      }
-    }
-    if (shutdown_requested_.load(std::memory_order_acquire) &&
-        !loop->drain_started) {
-      BeginDrain(loop);
-      drain_timer.Restart();
-    }
-    if (loop->drain_started && !loop->connections.empty() &&
-        drain_timer.ElapsedSeconds() > config_.drain_timeout_seconds) {
-      util::LogWarning(util::StrPrintf(
-          "loop %d drain timeout: force-closing %zu connection(s)",
-          loop->index, loop->connections.size()));
-      while (!loop->connections.empty()) {
-        EraseConnection(loop, loop->connections.begin()->first);
-      }
-    }
-  }
-  return util::Status::Ok();
-}
-
-void Server::HandleListener(EventLoop* loop) {
+void Server::HandleListener() {
   while (true) {
     bool would_block = false;
     auto accepted = AcceptConnection(listener_, &would_block);
@@ -318,72 +244,29 @@ void Server::HandleListener(EventLoop* loop) {
       util::LogWarning("new connection dropped: " + nb.ToString());
       continue;
     }
-    // Accept sharding: connection ownership rotates across loops. The
-    // owning loop does everything else for this socket's lifetime.
-    EventLoop* target =
-        loops_[accept_rr_++ % loops_.size()].get();
-    if (target == loop) {
-      AdoptConnection(loop, std::move(sock));
+    const uint64_t id = next_conn_id_++;
+    auto conn = std::make_unique<Connection>(std::move(sock),
+                                             config_.max_frame_bytes);
+    epoll_event ev{};
+    ev.events = EPOLLIN;
+    ev.data.u64 = id;
+    if (::epoll_ctl(epoll_.fd(), EPOLL_CTL_ADD, conn->socket.fd(), &ev) !=
+        0) {
+      util::LogWarning(Errno("epoll_ctl(add connection)").ToString());
       continue;
     }
-    HandoffCounter()->Increment();
-    {
-      util::MutexLock lock(&target->handoff_mutex);
-      target->handoff.push_back(std::move(sock));
-    }
-    const uint64_t one = 1;
-    [[maybe_unused]] ssize_t n =
-        ::write(target->wakeup.fd(), &one, sizeof(one));
-  }
-}
-
-void Server::AdoptConnection(EventLoop* loop, Socket sock) {
-  const uint64_t id = loop->next_conn_id++;
-  auto conn = std::make_unique<Connection>(std::move(sock),
-                                           config_.max_frame_bytes);
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.u64 = id;
-  if (::epoll_ctl(loop->epoll.fd(), EPOLL_CTL_ADD, conn->socket.fd(),
-                  &ev) != 0) {
-    util::LogWarning(Errno("epoll_ctl(add connection)").ToString());
-    return;
-  }
-  conn->epoll_events = EPOLLIN;
-  Connection* raw = conn.get();
-  loop->connections.emplace(id, std::move(conn));
-  {
+    conn->epoll_events = EPOLLIN;
+    connections_.emplace(id, std::move(conn));
     util::MutexLock lock(&counters_mutex_);
     ++counters_.connections_accepted;
     ++counters_.connections_active;
   }
-  if (loop->drain_started) {
-    // Raced in behind the drain (accepted by loop 0 just before the
-    // flag flipped): treat exactly like a connection that was open at
-    // drain time — no reads, flush nothing pending, close.
-    raw->want_read = false;
-    raw->closing = true;
-    UpdateInterest(loop, id, raw);
-    MaybeErase(loop, id);
-  }
 }
 
-void Server::AdoptHandoffs(EventLoop* loop) {
-  std::vector<Socket> adopted;
-  {
-    util::MutexLock lock(&loop->handoff_mutex);
-    adopted.swap(loop->handoff);
-  }
-  for (Socket& sock : adopted) {
-    AdoptConnection(loop, std::move(sock));
-  }
-}
-
-void Server::HandleConnectionRead(EventLoop* loop, uint64_t id,
-                                  Connection* conn) {
+void Server::HandleConnectionRead(uint64_t id, Connection* conn) {
   if (!conn->want_read) {
     // Drain/half-close: EPOLLHUP can still tick; nothing to read.
-    MaybeErase(loop, id);
+    MaybeErase(id);
     return;
   }
   std::string chunk;
@@ -391,7 +274,7 @@ void Server::HandleConnectionRead(EventLoop* loop, uint64_t id,
   switch (ReadSome(conn->socket.fd(), kReadChunkBytes, &chunk, &error)) {
     case IoState::kOk:
       conn->decoder.Append(chunk);
-      ConsumeFrames(loop, id, conn);
+      ConsumeFrames(id, conn);
       break;
     case IoState::kWouldBlock:
       break;
@@ -408,14 +291,14 @@ void Server::HandleConnectionRead(EventLoop* loop, uint64_t id,
       conn->outbuf.clear();
       break;
   }
-  auto it = loop->connections.find(id);
-  if (it != loop->connections.end()) {
-    UpdateInterest(loop, id, conn);
-    MaybeErase(loop, id);
+  auto it = connections_.find(id);
+  if (it != connections_.end()) {
+    UpdateInterest(id, conn);
+    MaybeErase(id);
   }
 }
 
-void Server::ConsumeFrames(EventLoop* loop, uint64_t id, Connection* conn) {
+void Server::ConsumeFrames(uint64_t id, Connection* conn) {
   while (conn->want_read) {
     auto next = conn->decoder.Next();
     if (!next.ok()) {
@@ -442,11 +325,11 @@ void Server::ConsumeFrames(EventLoop* loop, uint64_t id, Connection* conn) {
       ++counters_.frames_received;
     }
     FrameTypeCounter(next.value()->type)->Increment();
-    DispatchRequest(loop, id, conn, std::move(*next.value()));
+    DispatchRequest(id, conn, std::move(*next.value()));
   }
 }
 
-void Server::DispatchRequest(EventLoop* loop, uint64_t id, Connection* conn,
+void Server::DispatchRequest(uint64_t id, Connection* conn,
                              wire::Frame frame) {
   switch (frame.type) {
     case wire::MessageType::kStats:
@@ -477,7 +360,7 @@ void Server::DispatchRequest(EventLoop* loop, uint64_t id, Connection* conn,
       conn->closing = true;
       return;
   }
-  if (loop->inflight_total >= config_.max_inflight_requests) {
+  if (inflight_total_ >= config_.max_inflight_requests) {
     {
       util::MutexLock lock(&counters_mutex_);
       ++counters_.retries_sent;
@@ -486,11 +369,11 @@ void Server::DispatchRequest(EventLoop* loop, uint64_t id, Connection* conn,
                wire::EncodeFrame(wire::MessageType::kRetryLater, ""));
     return;
   }
-  ++loop->inflight_total;
+  ++inflight_total_;
   ++conn->inflight;
   const uint64_t seq = AllocateReplySlot(conn);
   auto shared = std::make_shared<wire::Frame>(std::move(frame));
-  PoolFor(loop)->Submit([this, loop, id, seq, shared] {
+  util::ThreadPool::Global().Submit([this, id, seq, shared] {
     std::string reply;
     // Submit() tasks must not throw; anything escaping the handlers
     // becomes an Internal error reply so the connection learns of it.
@@ -503,7 +386,7 @@ void Server::DispatchRequest(EventLoop* loop, uint64_t id, Connection* conn,
       reply = ErrorFrame(
           util::Status::Internal("request handler threw a non-exception"));
     }
-    PushCompletion(loop, id, seq, std::move(reply));
+    PushCompletion(id, seq, std::move(reply));
   });
 }
 
@@ -524,14 +407,9 @@ std::string Server::ProcessQuery(std::string_view payload) {
   auto request = wire::DecodeQueryRequest(payload);
   if (!request.ok()) return ErrorFrame(request.status());
   serve::CatalogQueryConfig config;
-  // One frame, one worker — unless the catalog is sharded and the
-  // operator asked for intra-query fan-out across the shard slices.
-  config.num_threads = std::max(1, config_.query_threads);
   config.compute_matches = request.value().options.compute_matches;
   config.compute_score = request.value().options.compute_score;
-  // One snapshot per request: a generation swap mid-query is invisible,
-  // and the snapshot is the WHOLE shard set (one pointer), so a swap
-  // can never interleave shards of two generations.
+  // One snapshot per request: a generation swap mid-query is invisible.
   const auto catalog = catalog_->Current();
   const serve::QueryResult result =
       catalog->Query(request.value().query, config);
@@ -608,12 +486,6 @@ std::string Server::ProcessStats(std::string_view payload) {
     reply.has_generation = true;
     reply.generation = catalog->generation();
   }
-  if (request.value().version >= wire::kStatsShardsWireVersion) {
-    // v5 extension: how many shards that generation is split across.
-    // Rides behind the generation trailer (same carrier rule).
-    reply.has_shards = true;
-    reply.num_shards = static_cast<uint32_t>(catalog->num_shards());
-  }
   // Stamp the lowest version able to carry the payload: a v1 client
   // gets a v1 frame it can decode even though the server speaks v2.
   return wire::EncodeFrame(wire::MessageType::kStatsReply,
@@ -653,36 +525,35 @@ void Server::LogStatsLine() {
       static_cast<long long>(serving.pattern_matches)));
 }
 
-void Server::PushCompletion(EventLoop* loop, uint64_t conn_id, uint64_t seq,
+void Server::PushCompletion(uint64_t conn_id, uint64_t seq,
                             std::string frame) {
   {
-    util::MutexLock lock(&loop->completions_mutex);
-    loop->completions.push_back({conn_id, seq, std::move(frame)});
+    util::MutexLock lock(&completions_mutex_);
+    completions_.push_back({conn_id, seq, std::move(frame)});
   }
   const uint64_t one = 1;
-  [[maybe_unused]] ssize_t n =
-      ::write(loop->wakeup.fd(), &one, sizeof(one));
+  [[maybe_unused]] ssize_t n = ::write(wakeup_.fd(), &one, sizeof(one));
 }
 
-void Server::DrainCompletions(EventLoop* loop) {
+void Server::DrainCompletions() {
   std::deque<Completion> batch;
   {
-    util::MutexLock lock(&loop->completions_mutex);
-    batch.swap(loop->completions);
+    util::MutexLock lock(&completions_mutex_);
+    batch.swap(completions_);
   }
   for (Completion& done : batch) {
-    --loop->inflight_total;
+    --inflight_total_;
     {
       util::MutexLock lock(&counters_mutex_);
       ++counters_.requests_served;
     }
-    auto it = loop->connections.find(done.conn_id);
-    if (it == loop->connections.end()) continue;  // peer gone; drop it
+    auto it = connections_.find(done.conn_id);
+    if (it == connections_.end()) continue;  // peer gone; drop it
     Connection* conn = it->second.get();
     --conn->inflight;
     QueueReply(conn, done.seq, std::move(done.frame));
-    UpdateInterest(loop, done.conn_id, conn);
-    MaybeErase(loop, done.conn_id);
+    UpdateInterest(done.conn_id, conn);
+    MaybeErase(done.conn_id);
   }
 }
 
@@ -732,14 +603,13 @@ void Server::FlushWrites(Connection* conn) {
   }
 }
 
-void Server::HandleConnectionWrite(EventLoop* loop, uint64_t id,
-                                   Connection* conn) {
+void Server::HandleConnectionWrite(uint64_t id, Connection* conn) {
   FlushWrites(conn);
-  UpdateInterest(loop, id, conn);
-  MaybeErase(loop, id);
+  UpdateInterest(id, conn);
+  MaybeErase(id);
 }
 
-void Server::UpdateInterest(EventLoop* loop, uint64_t id, Connection* conn) {
+void Server::UpdateInterest(uint64_t id, Connection* conn) {
   uint32_t desired = 0;
   if (conn->want_read) desired |= EPOLLIN;
   if (!conn->outbuf.empty() && !conn->broken) desired |= EPOLLOUT;
@@ -747,57 +617,53 @@ void Server::UpdateInterest(EventLoop* loop, uint64_t id, Connection* conn) {
   epoll_event ev{};
   ev.events = desired;
   ev.data.u64 = id;
-  if (::epoll_ctl(loop->epoll.fd(), EPOLL_CTL_MOD, conn->socket.fd(),
-                  &ev) == 0) {
+  if (::epoll_ctl(epoll_.fd(), EPOLL_CTL_MOD, conn->socket.fd(), &ev) ==
+      0) {
     conn->epoll_events = desired;
   }
 }
 
-void Server::BeginDrain(EventLoop* loop) {
-  loop->drain_started = true;
-  // Connections accepted for this loop but not yet adopted become
-  // ordinary (immediately-closing) connections first, so the drain
-  // accounting below covers them too.
-  AdoptHandoffs(loop);
+void Server::BeginDrain() {
+  drain_started_ = true;
   util::LogInfo(util::StrPrintf(
-      "loop %d drain: %zu connection(s) open, %zu request(s) in flight",
-      loop->index, loop->connections.size(), loop->inflight_total));
-  if (loop->index == 0 && listener_.valid()) {
-    [[maybe_unused]] int rc = ::epoll_ctl(loop->epoll.fd(), EPOLL_CTL_DEL,
-                                          listener_.fd(), nullptr);
+      "drain: %zu connection(s) open, %zu request(s) in flight",
+      connections_.size(), inflight_total_));
+  if (listener_.valid()) {
+    [[maybe_unused]] int rc =
+        ::epoll_ctl(epoll_.fd(), EPOLL_CTL_DEL, listener_.fd(), nullptr);
     listener_.Reset();
   }
   // Stop reading everywhere; in-flight requests finish and their
   // replies flush before each connection closes.
   std::vector<uint64_t> ids;
-  ids.reserve(loop->connections.size());
-  for (const auto& [id, conn] : loop->connections) ids.push_back(id);
+  ids.reserve(connections_.size());
+  for (const auto& [id, conn] : connections_) ids.push_back(id);
   for (uint64_t id : ids) {
-    auto it = loop->connections.find(id);
-    if (it == loop->connections.end()) continue;
+    auto it = connections_.find(id);
+    if (it == connections_.end()) continue;
     Connection* conn = it->second.get();
     conn->want_read = false;
     conn->closing = true;
-    UpdateInterest(loop, id, conn);
-    MaybeErase(loop, id);
+    UpdateInterest(id, conn);
+    MaybeErase(id);
   }
 }
 
-void Server::MaybeErase(EventLoop* loop, uint64_t id) {
-  auto it = loop->connections.find(id);
-  if (it == loop->connections.end()) return;
+void Server::MaybeErase(uint64_t id) {
+  auto it = connections_.find(id);
+  if (it == connections_.end()) return;
   const Connection& conn = *it->second;
   const bool settled =
       conn.inflight == 0 && (conn.outbuf.empty() || conn.broken);
-  if (conn.closing && settled) EraseConnection(loop, id);
+  if (conn.closing && settled) EraseConnection(id);
 }
 
-void Server::EraseConnection(EventLoop* loop, uint64_t id) {
-  auto it = loop->connections.find(id);
-  if (it == loop->connections.end()) return;
-  [[maybe_unused]] int rc = ::epoll_ctl(
-      loop->epoll.fd(), EPOLL_CTL_DEL, it->second->socket.fd(), nullptr);
-  loop->connections.erase(it);
+void Server::EraseConnection(uint64_t id) {
+  auto it = connections_.find(id);
+  if (it == connections_.end()) return;
+  [[maybe_unused]] int rc = ::epoll_ctl(epoll_.fd(), EPOLL_CTL_DEL,
+                                        it->second->socket.fd(), nullptr);
+  connections_.erase(it);
   util::MutexLock lock(&counters_mutex_);
   --counters_.connections_active;
 }

@@ -1,46 +1,36 @@
 #ifndef GRAPHSIG_NET_SERVER_H_
 #define GRAPHSIG_NET_SERVER_H_
 
-// The GraphSig query server: N non-blocking epoll event loops feeding
-// decoded requests to worker pools (DESIGN.md §17).
+// The GraphSig query server: one non-blocking epoll event loop feeding
+// decoded requests to the shared worker pool (DESIGN.md §11).
 //
-// Architecture (one box per thread role; multiply the left box by
-// ServerConfig::num_loops):
+// Architecture (one box per thread role):
 //
-//   event loop (one thread each)         workers (per-loop or shared)
-//   ----------------------------         -------------------------
-//   read / frame-split on OWN conns -->  decode payload, run the
-//   per-loop admission control           catalog query, encode the
-//   write replies, close, drain    <--   reply frame
+//   event loop (thread that called Serve)   pool workers
+//   -------------------------------------   --------------------------
+//   accept / read / frame-split        -->  decode payload, run the
+//   admission control, reply ordering       catalog query, encode the
+//   write replies, close, drain        <--  reply frame
 //
-// Accept sharding: loop 0 owns the listener and assigns each accepted
-// connection to a loop round-robin; from then on exactly one loop owns
-// that Connection for its whole lifetime (non-local assignments travel
-// through a small mutex-guarded handoff queue plus the target loop's
-// eventfd). Workers never touch a Connection. A dispatched request
-// carries only (connection id, frame bytes); the finished reply comes
-// back through the owning loop's completion queue, and the loop
-// matches it to the connection — or drops it if the peer is gone. That
-// split keeps all per-connection state single-threaded (no locks, no
-// torn states) while queries themselves run concurrently.
+// The loop owns every Connection for its whole lifetime. Workers never
+// touch a Connection: a dispatched request carries only (connection
+// id, reply slot, frame bytes); the finished reply comes back through
+// the mutex-guarded completion queue plus an eventfd wakeup, and the
+// loop matches it to the connection — or drops it if the peer is
+// gone. That split keeps all per-connection state single-threaded (no
+// locks, no torn states) while queries themselves run concurrently.
 //
-// num_loops = 1 (the default) is byte-for-byte the original topology:
-// one loop, no handoffs. Replies are pure functions of (request,
-// catalog snapshot) either way, so the loop count — like the shard and
-// worker counts — can never change what a client reads back.
+// Backpressure is explicit: at most max_inflight_requests frames may
+// be queued-or-executing at once; a request over that bound is
+// answered immediately with RETRY_LATER instead of buffering
+// unboundedly (admission is counted per frame — a batch frame admits
+// as one unit).
 //
-// Backpressure is explicit and per loop: at most max_inflight_requests
-// frames may be queued-or-executing per loop at once; a request over
-// that bound is answered immediately with RETRY_LATER instead of
-// buffering unboundedly (admission is counted per frame — a batch
-// frame admits as one unit).
-//
-// Graceful drain (RequestShutdown, signal-safe): every loop stops
-// accepting/reading, finishes its dispatched requests, flushes every
-// reply, then exits; Serve() joins them all. Connections still open
-// after drain_timeout_seconds are force-closed per loop; Serve()
-// always waits for in-flight pool tasks before returning so no worker
-// outlives the server.
+// Graceful drain (RequestShutdown, signal-safe): stop accepting/
+// reading, finish dispatched requests, flush every reply, then return
+// from Serve(). Connections still open after drain_timeout_seconds are
+// force-closed; Serve() always waits for in-flight pool tasks before
+// returning so no worker outlives the server.
 
 #include <atomic>
 #include <cstdint>
@@ -48,16 +38,13 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "net/socket.h"
 #include "net/wire.h"
 #include "serve/catalog_handle.h"
 #include "serve/pattern_catalog.h"
-#include "serve/sharded_catalog.h"
 #include "util/status.h"
 #include "util/sync.h"
-#include "util/thread_pool.h"
 
 namespace graphsig::net {
 
@@ -69,32 +56,19 @@ struct ServerConfig {
   // Hard cap on one frame's payload; larger announcements are protocol
   // errors and close the connection.
   size_t max_frame_bytes = wire::kDefaultMaxFrameBytes;
-  // Admission bound PER LOOP: frames queued-or-executing before
-  // RETRY_LATER.
+  // Admission bound: frames queued-or-executing before RETRY_LATER.
   size_t max_inflight_requests = 64;
   // Worker claim-loop width for one BatchQuery frame (0 = hardware).
   int batch_threads = 0;
-  // Single-Query fan-out width across catalog shards (>= 1). 1 walks
-  // the shards serially inside the request's worker — still correct,
-  // still byte-identical, just unsharded latency.
-  int query_threads = 1;
-  // Event loops (>= 1; clamped). Loop 0 owns the listener.
-  int num_loops = 1;
-  // Private worker pool size per loop — the loop's own worker slice.
-  // 0 = all loops dispatch onto the shared global pool.
-  int workers_per_loop = 0;
   // Force-close straggling connections this long after drain starts.
   double drain_timeout_seconds = 5.0;
   // Emit one structured "stats:" log line this often (0 = disabled).
   // The line carries the transport counters and serving totals, so a
   // long-running server leaves a coarse utilization trace in its logs.
-  // Logged by loop 0.
   double stats_log_period_seconds = 0.0;
 };
 
-// Transport-level counters, readable from any thread. Aggregated
-// across loops (one mutex-guarded struct, not per-loop copies), so the
-// totals a Stats RPC reports are loop-count-independent.
+// Transport-level counters, readable from any thread.
 struct ServerCounters {
   uint64_t connections_accepted = 0;
   uint64_t connections_active = 0;
@@ -108,38 +82,32 @@ class Server {
  public:
   // `catalog` must outlive the server. The handle indirection is what
   // makes generation hot-swaps safe: every request handler snapshots
-  // the current shard set exactly once (a shared_ptr copy) and runs
+  // the current catalog exactly once (a shared_ptr copy) and runs
   // against that immutable snapshot, so the owner may Swap() in a new
-  // generation at any moment without dropping in-flight queries — and
-  // because the handle holds the WHOLE shard set behind one pointer,
-  // no request can ever observe shards from two generations.
+  // generation at any moment without dropping in-flight queries.
   Server(const serve::CatalogHandle* catalog, ServerConfig config);
   ~Server();
 
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  // Binds, listens, and sets up every loop's epoll/eventfd pair (and
-  // its private pool when workers_per_loop > 0). After Start(), port()
-  // is the actual bound port.
+  // Binds, listens, and sets up the epoll/eventfd pair. After Start(),
+  // port() is the actual bound port.
   util::Status Start();
   uint16_t port() const { return port_; }
 
-  // Runs loop 0 on the calling thread and loops 1..N-1 on spawned
-  // threads until a drain completes everywhere. Requires Start() to
-  // have succeeded.
+  // Runs the event loop on the calling thread until a drain completes.
+  // Requires Start() to have succeeded.
   util::Status Serve();
 
   // Begins a graceful drain. Safe from any thread and from signal
-  // handlers (one atomic store + one eventfd write per loop).
-  // Idempotent.
+  // handlers (one atomic store + one eventfd write). Idempotent.
   void RequestShutdown();
 
   ServerCounters counters() const;
   bool draining() const {
     return shutdown_requested_.load(std::memory_order_acquire);
   }
-  int num_loops() const { return static_cast<int>(loops_.size()); }
 
  private:
   // One reply-in-order slot; see Connection::pending.
@@ -178,60 +146,13 @@ class Server {
     std::string frame;  // fully encoded reply frame
   };
 
-  // Everything one event loop owns. Constructed in Start() before any
-  // loop thread exists; afterwards each instance is touched only by
-  // its own loop thread, except the two mutex-guarded queues (workers
-  // push completions; loop 0 pushes handoffs) and the eventfd, which
-  // is written cross-thread by design.
-  struct EventLoop {
-    int index GS_UNGUARDED_BY_DESIGN(
-        "written in Start() before loop threads exist") = 0;
-    // epoll instance (RAII via Socket: it is just an fd).
-    Socket epoll GS_UNGUARDED_BY_DESIGN(
-        "created in Start(); polled only by this loop's thread");
-    // eventfd: completions + handoffs + shutdown. Writing an eventfd
-    // is atomic at the kernel boundary, so cross-thread writers need
-    // no user-space lock.
-    Socket wakeup GS_UNGUARDED_BY_DESIGN(
-        "created in Start(); fd writes are kernel-atomic");
-    // This loop's private worker slice; null = shared global pool.
-    std::unique_ptr<util::ThreadPool> pool GS_UNGUARDED_BY_DESIGN(
-        "created in Start(); ThreadPool is internally synchronized");
-
-    std::map<uint64_t, std::unique_ptr<Connection>> connections
-        GS_UNGUARDED_BY_DESIGN("owned by this loop's thread");
-    // 0 = listener, 1 = wakeup sentinel (ids are per-loop: each loop
-    // has its own epoll, so they never meet another loop's ids).
-    uint64_t next_conn_id GS_UNGUARDED_BY_DESIGN(
-        "owned by this loop's thread") = 2;
-    size_t inflight_total GS_UNGUARDED_BY_DESIGN(
-        "owned by this loop's thread") = 0;
-    bool drain_started GS_UNGUARDED_BY_DESIGN(
-        "owned by this loop's thread") = false;
-
-    util::Mutex completions_mutex;
-    std::deque<Completion> completions GS_GUARDED_BY(completions_mutex);
-
-    // Sockets accepted by loop 0 awaiting adoption by this loop.
-    util::Mutex handoff_mutex;
-    std::vector<Socket> handoff GS_GUARDED_BY(handoff_mutex);
-  };
-
-  util::Status ServeLoop(EventLoop* loop);
-  void HandleListener(EventLoop* loop);
-  // Registers one accepted socket with `loop` (called on that loop's
-  // thread). A socket adopted after the loop began draining is closed
-  // after counting, exactly as if it had been connected at drain time.
-  void AdoptConnection(EventLoop* loop, Socket sock);
-  // Drains this loop's handoff queue into AdoptConnection.
-  void AdoptHandoffs(EventLoop* loop);
-  void HandleConnectionRead(EventLoop* loop, uint64_t id, Connection* conn);
-  void HandleConnectionWrite(EventLoop* loop, uint64_t id, Connection* conn);
-  // Splits buffered bytes into frames and dispatches them; returns
-  // false when the connection hit a fatal protocol error.
-  void ConsumeFrames(EventLoop* loop, uint64_t id, Connection* conn);
-  void DispatchRequest(EventLoop* loop, uint64_t id, Connection* conn,
-                       wire::Frame frame);
+  void HandleListener();
+  void HandleConnectionRead(uint64_t id, Connection* conn);
+  void HandleConnectionWrite(uint64_t id, Connection* conn);
+  // Splits buffered bytes into frames and dispatches them; stops at a
+  // fatal protocol error (which queues an Error reply and closes).
+  void ConsumeFrames(uint64_t id, Connection* conn);
+  void DispatchRequest(uint64_t id, Connection* conn, wire::Frame frame);
   // Executed on a pool worker: returns the encoded reply frame.
   std::string ProcessRequest(const wire::Frame& frame);
   std::string ProcessQuery(std::string_view payload);
@@ -242,9 +163,8 @@ class Server {
   // One structured log line with the current counters (see
   // ServerConfig::stats_log_period_seconds).
   void LogStatsLine();
-  void PushCompletion(EventLoop* loop, uint64_t conn_id, uint64_t seq,
-                      std::string frame);
-  void DrainCompletions(EventLoop* loop);
+  void PushCompletion(uint64_t conn_id, uint64_t seq, std::string frame);
+  void DrainCompletions();
   // Claims the next in-order reply slot for a request on `conn`.
   uint64_t AllocateReplySlot(Connection* conn);
   // Fills slot `seq` and flushes the filled prefix of pending replies
@@ -253,13 +173,11 @@ class Server {
   void SendFrame(Connection* conn, std::string frame);
   // Flushes as much outbuf as the kernel accepts right now.
   void FlushWrites(Connection* conn);
-  void UpdateInterest(EventLoop* loop, uint64_t id, Connection* conn);
-  void BeginDrain(EventLoop* loop);
+  void UpdateInterest(uint64_t id, Connection* conn);
+  void BeginDrain();
   // Erases the connection if it is closing and fully settled.
-  void MaybeErase(EventLoop* loop, uint64_t id);
-  void EraseConnection(EventLoop* loop, uint64_t id);
-  // The pool `loop` dispatches onto.
-  util::ThreadPool* PoolFor(EventLoop* loop);
+  void MaybeErase(uint64_t id);
+  void EraseConnection(uint64_t id);
 
   const serve::CatalogHandle* catalog_ GS_UNGUARDED_BY_DESIGN(
       "set in the constructor, read-only afterwards; the handle itself "
@@ -267,20 +185,34 @@ class Server {
   ServerConfig config_ GS_UNGUARDED_BY_DESIGN(
       "set in the constructor, read-only afterwards");
 
-  // Loop topology. The vector is built in Start() before any loop
-  // thread exists and never resized afterwards; element ownership is
-  // per loop (see EventLoop).
-  std::vector<std::unique_ptr<EventLoop>> loops_ GS_UNGUARDED_BY_DESIGN(
-      "sized in Start() before loop threads exist; elements are "
-      "per-loop-owned");
-  // Listener socket, owned and polled by loop 0 only.
-  Socket listener_ GS_UNGUARDED_BY_DESIGN("loop 0's thread only");
-  // Round-robin accept cursor (loop 0 only).
-  uint64_t accept_rr_ GS_UNGUARDED_BY_DESIGN("loop 0's thread only") = 0;
+  // The epoll instance (RAII via Socket: it is just an fd).
+  Socket epoll_ GS_UNGUARDED_BY_DESIGN(
+      "created in Start(); polled only by the loop thread");
+  // eventfd: completions + shutdown. Writing an eventfd is atomic at
+  // the kernel boundary, so cross-thread writers need no user-space
+  // lock.
+  Socket wakeup_ GS_UNGUARDED_BY_DESIGN(
+      "created in Start(); fd writes are kernel-atomic");
+  Socket listener_ GS_UNGUARDED_BY_DESIGN(
+      "bound in Start(); the loop thread's only afterwards");
   uint16_t port_ GS_UNGUARDED_BY_DESIGN(
-      "written by Start() before the loops run") = 0;
+      "written by Start() before the loop runs") = 0;
   bool started_ GS_UNGUARDED_BY_DESIGN(
-      "written by Start() before the loops run") = false;
+      "written by Start() before the loop runs") = false;
+
+  std::map<uint64_t, std::unique_ptr<Connection>> connections_
+      GS_UNGUARDED_BY_DESIGN("owned by the loop thread");
+  // 0 = listener, 1 = wakeup sentinel.
+  uint64_t next_conn_id_ GS_UNGUARDED_BY_DESIGN(
+      "owned by the loop thread") = 2;
+  size_t inflight_total_ GS_UNGUARDED_BY_DESIGN(
+      "owned by the loop thread") = 0;
+  bool drain_started_ GS_UNGUARDED_BY_DESIGN(
+      "owned by the loop thread") = false;
+
+  // Workers push finished replies here; the loop drains them.
+  util::Mutex completions_mutex_;
+  std::deque<Completion> completions_ GS_GUARDED_BY(completions_mutex_);
 
   // Not a metric: this is the async-signal-safe shutdown flag, and a
   // registry lookup is not signal-safe.

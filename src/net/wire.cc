@@ -317,10 +317,7 @@ util::Result<StatsRequest> DecodeStatsRequest(std::string_view payload) {
 
 uint8_t StatsReplyWireVersion(const StatsReply& reply) {
   if (reply.work_counters.empty()) return kBaseWireVersion;
-  if (!reply.has_generation) return 2;
-  return reply.has_shards && reply.num_shards > 0
-             ? kStatsShardsWireVersion
-             : kStatsGenerationWireVersion;
+  return reply.has_generation ? kStatsGenerationWireVersion : 2;
 }
 
 std::string EncodeStatsReply(const StatsReply& reply) {
@@ -350,16 +347,7 @@ std::string EncodeStatsReply(const StatsReply& reply) {
     // carrier: without one the reply must stay byte-identical to v1,
     // and a bare trailing u64 after the fixed fields would be
     // indistinguishable from a truncated counter section.
-    if (reply.has_generation) {
-      w.WriteU64(reply.generation);
-      // v5 shard-count trailer: the carrier rule again, one field
-      // further out — it rides only behind an encoded generation, and
-      // a shard count of 0 is never written (a ShardedCatalog has at
-      // least one shard), so the decoder can treat 0 as non-canonical.
-      if (reply.has_shards && reply.num_shards > 0) {
-        w.WriteU32(reply.num_shards);
-      }
-    }
+    if (reply.has_generation) w.WriteU64(reply.generation);
   }
   return std::move(w.TakeBuffer());
 }
@@ -404,15 +392,6 @@ util::Result<StatsReply> DecodeStatsReply(std::string_view payload) {
   if (!reader.exhausted()) {
     GS_RETURN_IF_ERROR(reader.ReadU64(&reply.generation));
     reply.has_generation = true;
-  }
-  // v5: a u32 shard count may trail the generation.
-  if (!reader.exhausted()) {
-    GS_RETURN_IF_ERROR(reader.ReadU32(&reply.num_shards));
-    if (reply.num_shards == 0) {
-      return util::Status::ParseError(
-          "stats reply shard count 0 (non-canonical)");
-    }
-    reply.has_shards = true;
   }
   GS_RETURN_IF_ERROR(ExpectExhausted(reader));
   return reply;

@@ -31,9 +31,6 @@
 //   v4  StatsReply may append the served catalog's ingest generation
 //       after the work-counter section, so streaming clients can watch
 //       catalog hot-swaps land (src/stream, DESIGN.md §16)
-//   v5  StatsReply may append the serving shard count after the
-//       generation, so clients can observe the catalog's shard
-//       topology (serve::ShardedCatalog, DESIGN.md §17)
 //
 // Every reply payload is a pure function of the request and the served
 // catalog — server-side latency is deliberately *not* in QueryReply (it
@@ -58,7 +55,7 @@ namespace graphsig::net::wire {
 inline constexpr uint32_t kMagic = 0x31575347;  // "GSW1"
 // Newest protocol version this build speaks (and the oldest that still
 // interoperates: every v1 byte stream is valid v2).
-inline constexpr uint8_t kWireVersion = 5;
+inline constexpr uint8_t kWireVersion = 4;
 // Version stamped on frames that use no post-v1 feature.
 inline constexpr uint8_t kBaseWireVersion = 1;
 // Version stamped on ApproxQuery/ApproxReply frames: the lowest version
@@ -67,10 +64,6 @@ inline constexpr uint8_t kApproxWireVersion = 3;
 // Lowest version whose StatsReply decoder knows the trailing catalog
 // generation field (and whose StatsRequest version byte asks for it).
 inline constexpr uint8_t kStatsGenerationWireVersion = 4;
-// Lowest version whose StatsReply decoder knows the shard-count field
-// trailing the generation (and whose StatsRequest version byte asks
-// for it).
-inline constexpr uint8_t kStatsShardsWireVersion = 5;
 inline constexpr size_t kFrameHeaderBytes = 16;
 // Default cap on one frame's payload; a header announcing more is a
 // protocol error, not an allocation.
@@ -210,21 +203,11 @@ struct StatsReply {
   // (serve::PatternCatalog::generation(); 0 = batch artifact).
   bool has_generation = false;
   uint64_t generation = 0;
-  // v5 extension: how many shards that generation is split across
-  // (serve::ShardedCatalog::num_shards(); always >= 1 when present —
-  // the encoder never writes 0, and the decoder rejects it as
-  // non-canonical). Rides AFTER the generation and only when the
-  // generation itself is encoded, extending the same carrier rule one
-  // field further; `has_shards` without a generation (or with
-  // num_shards == 0) is silently dropped on the wire.
-  bool has_shards = false;
-  uint32_t num_shards = 0;
 };
 
 // Lowest frame version able to carry this reply: kBaseWireVersion when
-// work_counters is empty, kStatsShardsWireVersion when the shard count
-// field is actually encoded, kStatsGenerationWireVersion when the
-// generation is, 2 otherwise. Pass to EncodeFrame.
+// work_counters is empty, kStatsGenerationWireVersion when the
+// generation is actually encoded, 2 otherwise. Pass to EncodeFrame.
 uint8_t StatsReplyWireVersion(const StatsReply& reply);
 
 struct HealthReply {

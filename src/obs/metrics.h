@@ -87,40 +87,6 @@ class Counter {
   std::atomic<uint64_t> value_{0};
 };
 
-// Scoped local accumulator for one Counter: the "accumulate into a
-// local uint64_t and flush once" idiom from the header comment,
-// packaged so per-task code (a ShardedCatalog shard slice, a pool
-// worker's claim loop) cannot forget the flush. Add() is a plain
-// integer add — no atomic traffic, no capture-hook branch — and the
-// destructor publishes the total in a single Counter::Add, which is
-// also what keeps the flushed totals byte-identical across shard and
-// thread counts: N tasks flushing partial sums add up to exactly the
-// one sum a serial pass would flush.
-class CounterTally {
- public:
-  explicit CounterTally(Counter* counter) : counter_(counter) {}
-  ~CounterTally() { Flush(); }
-
-  CounterTally(const CounterTally&) = delete;
-  CounterTally& operator=(const CounterTally&) = delete;
-
-  void Add(uint64_t n) { pending_ += n; }
-  void Increment() { ++pending_; }
-  // Publishes the pending total now (idempotent; the destructor then
-  // has nothing left to add).
-  void Flush() {
-    if (pending_ != 0) {
-      counter_->Add(pending_);
-      pending_ = 0;
-    }
-  }
-  uint64_t pending() const { return pending_; }
-
- private:
-  Counter* const counter_;
-  uint64_t pending_ = 0;
-};
-
 // Last-write-wins instantaneous value, plus a monotonic-max mode for
 // high-water marks. Advisory by construction.
 class Gauge {

@@ -16,12 +16,6 @@
 //     alive (shared_ptr) until the last in-flight request holding it
 //     finishes.
 //
-// The handle holds a ShardedCatalog — the whole shard set behind ONE
-// shared_ptr — so a reload replaces every shard atomically: a request
-// that snapshotted generation G fans out over G's shards only, never a
-// mix of G and G+1 (DESIGN.md §17). The PatternCatalog overloads wrap
-// the catalog as a single shard, keeping unsharded callers unchanged.
-//
 // tests/net_test.cc drives a live server through swaps under load (and
 // under TSan) asserting zero dropped queries and that Stats reports the
 // new generation.
@@ -30,47 +24,36 @@
 #include <utility>
 
 #include "serve/pattern_catalog.h"
-#include "serve/sharded_catalog.h"
 #include "util/sync.h"
 
 namespace graphsig::serve {
 
 class CatalogHandle {
  public:
-  explicit CatalogHandle(std::shared_ptr<const ShardedCatalog> catalog)
-      : catalog_(std::move(catalog)) {}
-  // Wraps an unsharded catalog as one shard.
   explicit CatalogHandle(std::shared_ptr<const PatternCatalog> catalog)
-      : CatalogHandle(std::make_shared<const ShardedCatalog>(
-            std::move(catalog), 1)) {}
+      : catalog_(std::move(catalog)) {}
 
   CatalogHandle(const CatalogHandle&) = delete;
   CatalogHandle& operator=(const CatalogHandle&) = delete;
 
-  // The shard set to serve this request from. Never null.
-  std::shared_ptr<const ShardedCatalog> Current() const GS_EXCLUDES(mu_) {
+  // The catalog to serve this request from. Never null.
+  std::shared_ptr<const PatternCatalog> Current() const GS_EXCLUDES(mu_) {
     util::MutexLock lock(&mu_);
     return catalog_;
   }
 
-  // Publishes `next` (a complete shard set) and returns the one it
-  // replaced. In-flight requests keep their snapshot; new requests see
-  // `next`.
-  std::shared_ptr<const ShardedCatalog> Swap(
-      std::shared_ptr<const ShardedCatalog> next) GS_EXCLUDES(mu_) {
+  // Publishes `next` and returns the catalog it replaced. In-flight
+  // requests keep their snapshot; new requests see `next`.
+  std::shared_ptr<const PatternCatalog> Swap(
+      std::shared_ptr<const PatternCatalog> next) GS_EXCLUDES(mu_) {
     util::MutexLock lock(&mu_);
     std::swap(catalog_, next);
     return next;
   }
-  // Single-shard convenience for unsharded callers and tests.
-  std::shared_ptr<const ShardedCatalog> Swap(
-      std::shared_ptr<const PatternCatalog> next) GS_EXCLUDES(mu_) {
-    return Swap(std::make_shared<const ShardedCatalog>(std::move(next), 1));
-  }
 
  private:
   mutable util::Mutex mu_;
-  std::shared_ptr<const ShardedCatalog> catalog_ GS_GUARDED_BY(mu_);
+  std::shared_ptr<const PatternCatalog> catalog_ GS_GUARDED_BY(mu_);
 };
 
 }  // namespace graphsig::serve

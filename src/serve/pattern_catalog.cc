@@ -184,9 +184,7 @@ QueryResult PatternCatalog::Query(const graph::Graph& query,
   {
     // Per-query totals are pure functions of (query, catalog), so the
     // registry copies are deterministic work counters; the latency
-    // histogram is advisory (DESIGN.md §12). ShardedCatalog flushes the
-    // same names from its own fan-out/merge path, so the dumped totals
-    // are invariant in the shard count as well as the thread count.
+    // histogram is advisory (DESIGN.md §12).
     auto& registry = obs::MetricsRegistry::Global();
     static obs::Counter* const queries =
         registry.GetCounter("serve/queries");

@@ -125,8 +125,7 @@ class PatternCatalog {
  public:
   // The query-side half of the containment signature: what one graph
   // offers, precomputed once so it can be tested against many pattern
-  // signatures (and, for a sharded catalog, against many anchor slices
-  // without rebuilding).
+  // signatures.
   struct QueryProfile {
     int32_t num_vertices = 0;
     int32_t num_edges = 0;
@@ -135,11 +134,9 @@ class PatternCatalog {
     std::map<graph::Label, std::vector<int32_t>> degrees_by_label;
   };
 
-  // The match work of one anchor slice: pattern ids that passed the
-  // exact isomorphism test (in slice iteration order, NOT sorted) plus
-  // how many isomorphism calls the slice cost. Sliced totals sum to the
-  // full-index totals because every pattern lives under exactly one
-  // anchor label.
+  // The match work over a set of anchors: pattern ids that passed the
+  // exact isomorphism test (in anchor iteration order, NOT sorted) plus
+  // how many isomorphism calls that cost.
   struct AnchorMatches {
     std::vector<int32_t> matched_patterns;
     int32_t iso_calls = 0;
@@ -156,9 +153,8 @@ class PatternCatalog {
   static QueryProfile BuildProfile(const graph::Graph& g);
 
   // Runs the index/signature/isomorphism cascade for the patterns in
-  // `anchors` only (any subset of patterns_by_anchor(), e.g. one
-  // ShardedCatalog shard). Pure — no counters, no stats; callers
-  // aggregate and flush. Thread-safe.
+  // `anchors` only (patterns_by_anchor() or any subset of it). Pure —
+  // no counters, no stats; Query() aggregates and flushes. Thread-safe.
   AnchorMatches MatchAnchors(
       const graph::Graph& query, const QueryProfile& profile,
       const std::map<graph::Label, std::vector<int32_t>>& anchors) const;
@@ -167,12 +163,6 @@ class PatternCatalog {
   double ClassifierScore(const graph::Graph& query) const {
     return classifier_.Score(query);
   }
-
-  // Folds one finished query into the cumulative ServingStats (the
-  // mutex-guarded aggregate Snapshot() reads). ShardedCatalog calls
-  // this from its merge step so sharded and unsharded serving report
-  // through one set of totals.
-  void AggregateServingStats(const QueryResult& result) const;
 
   // Answers one query. Thread-safe: the catalog is immutable after
   // construction.
@@ -212,7 +202,7 @@ class PatternCatalog {
     return artifact_.catalog;
   }
   const model::ModelArtifact& artifact() const { return artifact_; }
-  // The full anchor index — what ShardedCatalog partitions.
+  // The full anchor index (what Query() passes to MatchAnchors).
   const std::map<graph::Label, std::vector<int32_t>>& patterns_by_anchor()
       const {
     return patterns_by_anchor_;
@@ -245,6 +235,10 @@ class PatternCatalog {
   static PatternSignature BuildSignature(const graph::Graph& g);
   static bool SignatureDominated(const PatternSignature& pattern,
                                  const QueryProfile& query);
+
+  // Folds one finished query into the cumulative ServingStats (the
+  // mutex-guarded aggregate Snapshot() reads).
+  void AggregateServingStats(const QueryResult& result) const;
 
   // Heap-allocated so PatternCatalog stays movable (util::Mutex is not);
   // concurrent QueryBatch workers all aggregate into this one object.

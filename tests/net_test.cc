@@ -31,7 +31,6 @@
 #include "net/wire.h"
 #include "serve/catalog_handle.h"
 #include "serve/pattern_catalog.h"
-#include "serve/sharded_catalog.h"
 #include "util/check.h"
 
 namespace graphsig::net {
@@ -83,11 +82,10 @@ const Fixture& SharedFixture() {
 
 // The bytes the server must produce for one Query frame: the in-process
 // result projected onto the wire reply. Must mirror ProcessQuery's
-// config exactly (num_threads = 1).
+// config exactly.
 std::string ExpectedReplyBytes(const graph::Graph& query,
                                const wire::QueryOptions& options = {}) {
   serve::CatalogQueryConfig config;
-  config.num_threads = 1;
   config.compute_matches = options.compute_matches;
   config.compute_score = options.compute_score;
   return wire::EncodeQueryReply(
@@ -403,64 +401,6 @@ TEST(WireVersionTest, StatsReplyGenerationTrailer) {
   std::string oversized = v4_bytes;
   oversized.push_back('\0');
   EXPECT_FALSE(wire::DecodeStatsReply(oversized).ok());
-}
-
-TEST(WireVersionTest, StatsReplyShardsTrailer) {
-  wire::StatsReply reply;
-  reply.requests_served = 3;
-  reply.work_counters = {{"serve/queries", 3}};
-  reply.has_generation = true;
-  reply.generation = 42;
-  const std::string v4_bytes = wire::EncodeStatsReply(reply);
-
-  // The shard count rides only behind the generation trailer: the v5
-  // encoding is the v4 payload plus one trailing u32.
-  reply.has_shards = true;
-  reply.num_shards = 4;
-  EXPECT_EQ(wire::StatsReplyWireVersion(reply),
-            wire::kStatsShardsWireVersion);
-  const std::string v5_bytes = wire::EncodeStatsReply(reply);
-  ASSERT_EQ(v5_bytes.size(), v4_bytes.size() + 4);
-  EXPECT_EQ(v5_bytes.substr(0, v4_bytes.size()), v4_bytes);
-  auto again = wire::DecodeStatsReply(v5_bytes);
-  ASSERT_TRUE(again.ok()) << again.status().ToString();
-  EXPECT_TRUE(again.value().has_shards);
-  EXPECT_EQ(again.value().num_shards, 4u);
-  EXPECT_EQ(again.value().generation, 42u);
-
-  // A v4 payload still decodes as v4: absence is signaled by length.
-  auto v4_again = wire::DecodeStatsReply(v4_bytes);
-  ASSERT_TRUE(v4_again.ok());
-  EXPECT_FALSE(v4_again.value().has_shards);
-
-  // num_shards == 0 never encodes (the canonical form drops the
-  // trailer and stamps v4), so a zero on the wire is non-canonical
-  // bytes, not an empty server.
-  wire::StatsReply zero_shards = reply;
-  zero_shards.num_shards = 0;
-  EXPECT_EQ(wire::StatsReplyWireVersion(zero_shards),
-            wire::kStatsGenerationWireVersion);
-  EXPECT_EQ(wire::EncodeStatsReply(zero_shards), v4_bytes);
-  std::string forged_zero = v4_bytes;
-  forged_zero.append(4, '\0');
-  EXPECT_FALSE(wire::DecodeStatsReply(forged_zero).ok());
-
-  // Without the generation carrier the shard count has nothing to ride
-  // behind: the canonical encoding drops both trailers.
-  wire::StatsReply no_generation = reply;
-  no_generation.has_generation = false;
-  EXPECT_EQ(wire::StatsReplyWireVersion(no_generation), 2);
-  auto bare = wire::DecodeStatsReply(wire::EncodeStatsReply(no_generation));
-  ASSERT_TRUE(bare.ok());
-  EXPECT_FALSE(bare.value().has_shards);
-
-  // Partial or surplus trailer bytes are corruption.
-  std::string torn = v5_bytes;
-  torn.resize(torn.size() - 2);
-  EXPECT_FALSE(wire::DecodeStatsReply(torn).ok());
-  std::string surplus = v5_bytes;
-  surplus.push_back('\0');
-  EXPECT_FALSE(wire::DecodeStatsReply(surplus).ok());
 }
 
 TEST(WireCodecTest, TypedMessagesRoundTrip) {
@@ -853,7 +793,7 @@ TEST(NetServerTest, GenerationHotSwapDropsNoQueries) {
   while (completed.load(std::memory_order_relaxed) < kClients * 3) {
     std::this_thread::yield();
   }
-  std::shared_ptr<const serve::ShardedCatalog> old =
+  std::shared_ptr<const serve::PatternCatalog> old =
       handle.Swap(catalog_at(2));
   EXPECT_EQ(old->generation(), 1u);
   const int at_swap = completed.load(std::memory_order_relaxed);
@@ -866,178 +806,6 @@ TEST(NetServerTest, GenerationHotSwapDropsNoQueries) {
     EXPECT_EQ(failures[c], "") << "client " << c;
   }
   EXPECT_EQ(handle.Current()->generation(), 2u);
-}
-
-// Multiple event loops with round-robin accept sharding must be
-// invisible to clients: every reply byte-identical to the in-process
-// answer, regardless of which loop owns the connection. The CI TSan
-// job runs this under the race detector.
-TEST(NetServerTest, MultiLoopServerMatchesByteForByte) {
-  const Fixture& f = SharedFixture();
-  ServerConfig config;
-  config.num_loops = 2;
-  config.workers_per_loop = 1;
-  TestServer server(config);
-  EXPECT_EQ(server.server().num_loops(), 2);
-
-  // More clients than loops so both loops own several connections.
-  constexpr int kClients = 5;
-  std::vector<std::string> failures(kClients);
-  std::vector<std::thread> threads;
-  threads.reserve(kClients);
-  for (int c = 0; c < kClients; ++c) {
-    threads.emplace_back([&, c] {
-      Client client(MakeClientConfig(server.port()));
-      util::Status connected = client.Connect();
-      if (!connected.ok()) {
-        failures[c] = connected.ToString();
-        return;
-      }
-      for (size_t i = 0; i < f.db.size(); i += 2) {
-        const size_t g = (i + c) % f.db.size();
-        auto reply = client.Query(f.db.graph(g));
-        if (!reply.ok()) {
-          failures[c] = reply.status().ToString();
-          return;
-        }
-        if (wire::EncodeQueryReply(reply.value()) !=
-            ExpectedReplyBytes(f.db.graph(g))) {
-          failures[c] = "reply bytes diverge from in-process Query";
-          return;
-        }
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  for (int c = 0; c < kClients; ++c) {
-    EXPECT_EQ(failures[c], "") << "client " << c;
-  }
-}
-
-TEST(NetServerTest, StatsReportsShardCount) {
-  const Fixture& f = SharedFixture();
-  serve::CatalogHandle handle(
-      std::make_shared<const serve::ShardedCatalog>(f.catalog, 4));
-  TestServer server({}, &handle);
-  Client client(MakeClientConfig(server.port()));
-  ASSERT_TRUE(client.Connect().ok());
-
-  // The default request is v5: the reply carries the shard count.
-  auto v5 = client.Stats();
-  ASSERT_TRUE(v5.ok()) << v5.status().ToString();
-  EXPECT_TRUE(v5.value().has_shards);
-  EXPECT_EQ(v5.value().num_shards, 4u);
-  EXPECT_TRUE(v5.value().has_generation);
-
-  // A v4 client gets the generation trailer but never the shard count.
-  auto v4 = client.Stats(wire::kStatsGenerationWireVersion);
-  ASSERT_TRUE(v4.ok()) << v4.status().ToString();
-  EXPECT_TRUE(v4.value().has_generation);
-  EXPECT_FALSE(v4.value().has_shards);
-}
-
-TEST(NetServerTest, UnshardedHandleReportsOneShard) {
-  const Fixture& f = SharedFixture();
-  // The PatternCatalog convenience ctor wraps a 1-shard set.
-  serve::CatalogHandle handle(f.catalog);
-  TestServer server({}, &handle);
-  Client client(MakeClientConfig(server.port()));
-  ASSERT_TRUE(client.Connect().ok());
-  auto stats = client.Stats();
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_TRUE(stats.value().has_shards);
-  EXPECT_EQ(stats.value().num_shards, 1u);
-}
-
-// The sharded variant of the hot-swap contract: a whole 4-shard set
-// swaps as one generation while multi-loop, shard-fanned queries are
-// in flight — no drops, no mixed-generation replies, and the next
-// Stats reports the new generation with the same shard count.
-TEST(NetServerTest, ShardedHotSwapDropsNoQueries) {
-  const Fixture& f = SharedFixture();
-
-  core::GraphSigConfig config;
-  config.cutoff_radius = 3;
-  config.min_freq_percent = 5.0;
-  config.fsm_max_edges = 10;
-  core::GraphSigResult mined =
-      core::GraphSig(config).Mine(f.db.FilterByTag(1));
-  auto shard_set_at = [&](uint64_t generation) {
-    model::ModelArtifact artifact;
-    artifact.database = f.db;
-    artifact.feature_space = mined.feature_space;
-    artifact.catalog = mined.subgraphs;
-    artifact.generation = generation;
-    auto catalog = serve::PatternCatalog::FromArtifact(std::move(artifact));
-    GS_CHECK(catalog.ok());
-    return std::make_shared<const serve::ShardedCatalog>(
-        std::make_shared<const serve::PatternCatalog>(
-            std::move(catalog).value()),
-        4);
-  };
-
-  serve::CatalogHandle handle(shard_set_at(1));
-  ServerConfig server_config;
-  server_config.num_loops = 2;
-  server_config.query_threads = 2;
-  TestServer server(server_config, &handle);
-
-  constexpr int kClients = 4;
-  std::atomic<bool> stop{false};
-  std::atomic<int> completed{0};
-  std::vector<std::string> failures(kClients);
-  std::vector<std::thread> threads;
-  threads.reserve(kClients);
-  for (int c = 0; c < kClients; ++c) {
-    threads.emplace_back([&, c] {
-      Client client(MakeClientConfig(server.port()));
-      util::Status connected = client.Connect();
-      if (!connected.ok()) {
-        failures[c] = connected.ToString();
-        return;
-      }
-      for (size_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
-        const size_t g = (i * (c + 1)) % f.db.size();
-        auto reply = client.Query(f.db.graph(g));
-        if (!reply.ok()) {
-          failures[c] = reply.status().ToString();
-          return;
-        }
-        completed.fetch_add(1, std::memory_order_relaxed);
-      }
-      auto stats = client.Stats();
-      if (!stats.ok()) {
-        failures[c] = stats.status().ToString();
-        return;
-      }
-      if (!stats.value().has_generation || stats.value().generation != 2) {
-        failures[c] = "post-swap stats did not report generation 2";
-        return;
-      }
-      if (!stats.value().has_shards || stats.value().num_shards != 4) {
-        failures[c] = "post-swap stats did not report 4 shards";
-      }
-    });
-  }
-
-  while (completed.load(std::memory_order_relaxed) < kClients * 3) {
-    std::this_thread::yield();
-  }
-  std::shared_ptr<const serve::ShardedCatalog> old =
-      handle.Swap(shard_set_at(2));
-  EXPECT_EQ(old->generation(), 1u);
-  EXPECT_EQ(old->num_shards(), 4u);
-  const int at_swap = completed.load(std::memory_order_relaxed);
-  while (completed.load(std::memory_order_relaxed) < at_swap + kClients) {
-    std::this_thread::yield();
-  }
-  stop.store(true, std::memory_order_relaxed);
-  for (std::thread& t : threads) t.join();
-  for (int c = 0; c < kClients; ++c) {
-    EXPECT_EQ(failures[c], "") << "client " << c;
-  }
-  EXPECT_EQ(handle.Current()->generation(), 2u);
-  EXPECT_EQ(handle.Current()->num_shards(), 4u);
 }
 
 // Writes raw bytes and expects an Error frame followed by EOF — the

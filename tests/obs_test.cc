@@ -48,32 +48,6 @@ TEST(ObsCounterTest, SameNameReturnsSameMetric) {
   EXPECT_NE(advisory, a);
 }
 
-TEST(ObsCounterTallyTest, FlushPublishesOnceAndDestructorIsIdempotent) {
-  MetricsRegistry registry;
-  Counter* counter = registry.GetCounter("test/tally");
-  {
-    CounterTally tally(counter);
-    tally.Add(5);
-    tally.Increment();
-    EXPECT_EQ(tally.pending(), 6u);
-    // Nothing published until the tally flushes.
-    EXPECT_EQ(counter->value(), 0u);
-    tally.Flush();
-    EXPECT_EQ(counter->value(), 6u);
-    EXPECT_EQ(tally.pending(), 0u);
-    tally.Add(2);
-    // Destructor flushes the remainder exactly once.
-  }
-  EXPECT_EQ(counter->value(), 8u);
-}
-
-TEST(ObsCounterTallyTest, EmptyTallyNeverTouchesCounter) {
-  MetricsRegistry registry;
-  Counter* counter = registry.GetCounter("test/tally_empty");
-  { CounterTally tally(counter); }
-  EXPECT_EQ(counter->value(), 0u);
-}
-
 TEST(ObsGaugeTest, UpdateMaxIsMonotonic) {
   MetricsRegistry registry;
   Gauge* gauge = registry.GetGauge("test/hwm");

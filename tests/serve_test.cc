@@ -168,6 +168,45 @@ TEST(PatternCatalogTest, BatchMatchesSerialAcrossThreadCounts) {
   }
 }
 
+// The cumulative ServingStats a server's Stats RPC reports: after a
+// reset, Snapshot() totals are exactly the sums over the answered
+// queries, whether they ran serially or as a 4-thread batch.
+TEST(PatternCatalogTest, ServingStatsTotalsMatchQueryResults) {
+  const Fixture& f = SharedFixture();
+  auto catalog = PatternCatalog::FromArtifact(f.artifact);
+  ASSERT_TRUE(catalog.ok());
+  graph::GraphDatabase holdout = TestScreen(911, 24);
+  CatalogQueryConfig config;
+  config.compute_score = false;
+
+  auto expect_totals = [](const std::vector<QueryResult>& results,
+                          const ServingStats& stats, const char* how) {
+    int64_t iso_calls = 0, pruned = 0, matches = 0;
+    for (const QueryResult& r : results) {
+      iso_calls += r.iso_calls;
+      pruned += r.pruned;
+      matches += static_cast<int64_t>(r.matched_patterns.size());
+    }
+    EXPECT_EQ(stats.queries, static_cast<int64_t>(results.size())) << how;
+    EXPECT_EQ(stats.iso_calls, iso_calls) << how;
+    EXPECT_EQ(stats.pruned, pruned) << how;
+    EXPECT_EQ(stats.pattern_matches, matches) << how;
+  };
+
+  catalog.value().ResetStats();
+  std::vector<QueryResult> serial;
+  for (const graph::Graph& g : holdout.graphs()) {
+    serial.push_back(catalog.value().Query(g, config));
+  }
+  expect_totals(serial, catalog.value().Snapshot(), "serial");
+
+  catalog.value().ResetStats();
+  config.num_threads = 4;
+  const std::vector<QueryResult> batch =
+      catalog.value().QueryBatch(holdout.graphs(), config);
+  expect_totals(batch, catalog.value().Snapshot(), "batch at 4 threads");
+}
+
 TEST(PatternCatalogTest, ArtifactWithoutClassifierServesMatchesOnly) {
   const Fixture& f = SharedFixture();
   model::ModelArtifact artifact = f.artifact;

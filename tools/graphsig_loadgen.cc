@@ -407,11 +407,10 @@ int main(int argc, char** argv) {
   if (have_stats) {
     std::fprintf(stderr,
                  "server stats: %llu requests served, %llu protocol errors, "
-                 "generation %llu, %u shard(s)\n",
+                 "generation %llu\n",
                  static_cast<unsigned long long>(server_requests),
                  static_cast<unsigned long long>(server_protocol_errors),
-                 static_cast<unsigned long long>(server_stats.generation),
-                 server_stats.has_shards ? server_stats.num_shards : 1);
+                 static_cast<unsigned long long>(server_stats.generation));
   }
   if (!first_error.empty()) {
     std::fprintf(stderr, "first error: %s\n", first_error.c_str());
@@ -445,20 +444,18 @@ int main(int argc, char** argv) {
     json += LatencySummaryJson(approx_tally.latencies);
     json += "},\n";
     if (have_stats) {
-      // generation/shards arrive via the v4/v5 Stats trailers; a pre-v5
-      // server is necessarily serving one unsharded catalog.
+      // generation arrives via the v4 Stats trailer.
       json += util::StrPrintf(
           "  \"server\": {\"requests_served\": %llu, \"protocol_errors\": "
           "%llu, \"frames_received\": %llu, \"retries_sent\": %llu, "
           "\"connections_accepted\": %llu, \"generation\": %llu, "
-          "\"shards\": %u, \"work_counters\": {",
+          "\"work_counters\": {",
           static_cast<unsigned long long>(server_requests),
           static_cast<unsigned long long>(server_protocol_errors),
           static_cast<unsigned long long>(server_stats.frames_received),
           static_cast<unsigned long long>(server_stats.retries_sent),
           static_cast<unsigned long long>(server_stats.connections_accepted),
-          static_cast<unsigned long long>(server_stats.generation),
-          server_stats.has_shards ? server_stats.num_shards : 1);
+          static_cast<unsigned long long>(server_stats.generation));
       for (size_t i = 0; i < server_stats.work_counters.size(); ++i) {
         const auto& [name, value] = server_stats.work_counters[i];
         json += util::StrPrintf(

@@ -4,8 +4,6 @@
 // decoded requests onto the shared thread pool.
 //
 //   graphsig_serve --model=model.gsig [--host=127.0.0.1] [--port=7117]
-//                  [--shards=1] [--threads=1 (per-query shard fan-out)]
-//                  [--loops=1] [--workers-per-loop=0 (shared pool)]
 //                  [--batch-threads=0 (auto)] [--max-inflight=64]
 //                  [--max-frame-mb=16] [--drain-timeout=5]
 //                  [--stats-log-period=0 (seconds; 0 = off)]
@@ -14,24 +12,16 @@
 //
 // --port=0 binds an ephemeral port; the actual port is printed on the
 // "listening on" line (stdout, flushed) so scripts can scrape it.
-//
-// --shards=N splits the catalog's anchor index into N deterministic
-// slices (serve::ShardedCatalog); --threads=T fans each Query across
-// the slices T wide. Replies and the deterministic work-counter dump
-// are byte-identical for every (N, T) — the CI shard-sweep job holds
-// this at N ∈ {1,2,4} × T ∈ {1,4}. --loops=L runs L epoll event loops
-// with round-robin accept sharding; --workers-per-loop=W gives each
-// loop a private W-thread worker pool instead of the shared one.
+// --port must lie in [0, 65535], --max-inflight must be >= 1 and
+// --max-frame-mb in [1, 4095]; anything else (including a value that
+// is not an integer) exits 1 naming the flag.
 //
 // The catalog is held behind a serve::CatalogHandle, so a running
 // server can hot-swap to a newer artifact generation (the streaming
 // pipeline rewrites the model file after each ingest) without dropping
 // in-flight queries. SIGHUP reloads immediately; --reload-period=N
 // additionally polls the model file's mtime every N seconds. A reload
-// rebuilds the whole shard set at the configured --shards and swaps it
-// as ONE generation — queries never observe a mixed-generation shard
-// mix. A reload whose artifact fails to load leaves the served catalog
-// untouched.
+// whose artifact fails to load leaves the served catalog untouched.
 //
 // SIGTERM/SIGINT trigger a graceful drain: stop accepting, finish
 // in-flight requests, flush every reply and the log sink, then exit 0.
@@ -44,7 +34,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -52,7 +45,6 @@
 #include "net/server.h"
 #include "serve/catalog_handle.h"
 #include "serve/pattern_catalog.h"
-#include "serve/sharded_catalog.h"
 #include "tools/tool_util.h"
 #include "util/timer.h"
 
@@ -80,10 +72,32 @@ int64_t FileMtimeNs(const std::string& path) {
          st.st_mtim.tv_nsec;
 }
 
-// Loads the artifact at `path`, re-shards it at the configured shard
-// count, and swaps the complete shard set into `handle` as one
+// Reads integer flag --`name` (default `fallback`). Returns nullopt,
+// after printing a message naming the flag, when the value is not an
+// integer in [lo, hi].
+std::optional<int64_t> IntFlagInRange(const graphsig::tools::Flags& flags,
+                                      const std::string& name,
+                                      int64_t fallback, int64_t lo,
+                                      int64_t hi) {
+  const std::string raw = flags.GetString(name, std::to_string(fallback));
+  auto value = graphsig::util::ParseInt(raw);
+  if (value.ok() && value.value() >= lo && value.value() <= hi) {
+    return value.value();
+  }
+  if (hi == std::numeric_limits<int64_t>::max()) {
+    std::fprintf(stderr, "--%s must be an integer >= %lld, got '%s'\n",
+                 name.c_str(), static_cast<long long>(lo), raw.c_str());
+  } else {
+    std::fprintf(stderr, "--%s must be an integer in [%lld, %lld], got '%s'\n",
+                 name.c_str(), static_cast<long long>(lo),
+                 static_cast<long long>(hi), raw.c_str());
+  }
+  return std::nullopt;
+}
+
+// Loads the artifact at `path` and swaps it into `handle` as the next
 // generation. On failure the old catalog keeps serving.
-void TryReload(const std::string& path, int num_shards,
+void TryReload(const std::string& path,
                graphsig::serve::CatalogHandle* handle) {
   using namespace graphsig;
   util::WallTimer timer;
@@ -93,19 +107,15 @@ void TryReload(const std::string& path, int num_shards,
                  reloaded.status().ToString().c_str());
     return;
   }
-  auto next = std::make_shared<const serve::ShardedCatalog>(
-      std::make_shared<const serve::PatternCatalog>(
-          std::move(reloaded).value()),
-      num_shards);
+  auto next = std::make_shared<const serve::PatternCatalog>(
+      std::move(reloaded).value());
   const uint64_t generation = next->generation();
   const size_t patterns = next->num_patterns();
-  const size_t shards = next->num_shards();
   handle->Swap(std::move(next));
-  std::fprintf(
-      stderr,
-      "reloaded %s in %.2fs: generation %llu, %zu patterns, %zu shard(s)\n",
-      path.c_str(), timer.ElapsedSeconds(),
-      static_cast<unsigned long long>(generation), patterns, shards);
+  std::fprintf(stderr,
+               "reloaded %s in %.2fs: generation %llu, %zu patterns\n",
+               path.c_str(), timer.ElapsedSeconds(),
+               static_cast<unsigned long long>(generation), patterns);
 }
 
 }  // namespace
@@ -117,53 +127,46 @@ int main(int argc, char** argv) {
   if (model_path.empty()) {
     std::fprintf(stderr,
                  "usage: graphsig_serve --model=FILE [--host=ADDR] "
-                 "[--port=N (0 = ephemeral)] [--shards=N] [--threads=N] "
-                 "[--loops=N] [--workers-per-loop=N (0 = shared pool)] "
+                 "[--port=N (0 = ephemeral)] "
                  "[--batch-threads=N (0 = auto)] [--max-inflight=N] "
                  "[--max-frame-mb=N] [--drain-timeout=SECONDS] "
                  "[--stats-log-period=SECONDS] [--reload-period=SECONDS] "
                  "[--metrics-out=FILE]\n");
     return 1;
   }
-  const int num_shards =
-      static_cast<int>(flags.GetInt("shards", 1));
-  if (num_shards < 1) {
-    std::fprintf(stderr, "--shards must be >= 1\n");
-    return 1;
-  }
+  net::ServerConfig config;
+  const std::optional<int64_t> port =
+      IntFlagInRange(flags, "port", 7117, 0, 65535);
+  const std::optional<int64_t> max_inflight = IntFlagInRange(
+      flags, "max-inflight",
+      static_cast<int64_t>(config.max_inflight_requests), 1,
+      std::numeric_limits<int64_t>::max());
+  // The frame header's u32 payload length cannot announce 4 GiB, so a
+  // larger cap would never bind.
+  const std::optional<int64_t> max_frame_mb =
+      IntFlagInRange(flags, "max-frame-mb", 16, 1, 4095);
+  if (!port || !max_inflight || !max_frame_mb) return 1;
 
   util::WallTimer load_timer;
   auto loaded = serve::PatternCatalog::LoadFromFile(model_path);
   if (!loaded.ok()) tools::Fail(loaded.status());
-  auto initial = std::make_shared<const serve::ShardedCatalog>(
-      std::make_shared<const serve::PatternCatalog>(
-          std::move(loaded).value()),
-      num_shards);
+  auto initial = std::make_shared<const serve::PatternCatalog>(
+      std::move(loaded).value());
   std::fprintf(stderr,
                "loaded %s in %.2fs: %zu graphs indexed, %zu significant "
-               "patterns, generation %llu, classifier: %s, %zu shard(s)\n",
+               "patterns, generation %llu, classifier: %s\n",
                model_path.c_str(), load_timer.ElapsedSeconds(),
-               initial->catalog().artifact().database.size(),
-               initial->num_patterns(),
+               initial->artifact().database.size(), initial->num_patterns(),
                static_cast<unsigned long long>(initial->generation()),
-               initial->has_classifier() ? "yes" : "no",
-               initial->num_shards());
+               initial->has_classifier() ? "yes" : "no");
   serve::CatalogHandle handle(std::move(initial));
 
-  net::ServerConfig config;
   config.host = flags.GetString("host", config.host);
-  config.port = static_cast<uint16_t>(flags.GetInt("port", 7117));
+  config.port = static_cast<uint16_t>(*port);
   config.batch_threads =
       tools::ResolveThreads(flags.GetInt("batch-threads", 0));
-  config.query_threads =
-      static_cast<int>(flags.GetInt("threads", config.query_threads));
-  config.num_loops = static_cast<int>(flags.GetInt("loops", config.num_loops));
-  config.workers_per_loop = static_cast<int>(
-      flags.GetInt("workers-per-loop", config.workers_per_loop));
-  config.max_inflight_requests = static_cast<size_t>(flags.GetInt(
-      "max-inflight", static_cast<int64_t>(config.max_inflight_requests)));
-  config.max_frame_bytes =
-      static_cast<size_t>(flags.GetInt("max-frame-mb", 16)) << 20;
+  config.max_inflight_requests = static_cast<size_t>(*max_inflight);
+  config.max_frame_bytes = static_cast<size_t>(*max_frame_mb) << 20;
   config.drain_timeout_seconds =
       flags.GetDouble("drain-timeout", config.drain_timeout_seconds);
   config.stats_log_period_seconds =
@@ -205,7 +208,7 @@ int main(int argc, char** argv) {
           want_reload = true;
         }
       }
-      if (want_reload) TryReload(model_path, num_shards, &handle);
+      if (want_reload) TryReload(model_path, &handle);
     }
   });
 
