@@ -116,6 +116,8 @@ struct GraphSigStats {
   double tarone_delta_star = 0.0;
   int64_t tarone_family_size = 0;
   int64_t tarone_filtered_vectors = 0;
+
+  bool operator==(const GraphSigStats&) const = default;
 };
 
 struct GraphSigResult {

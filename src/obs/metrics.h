@@ -61,8 +61,11 @@ namespace internal {
 // its frame so the delta can be persisted and replayed later — the
 // mechanism the incremental miner uses to keep cached work
 // counter-transparent. Null (one TLS load, no branch taken) otherwise.
+// constinit tells every includer the variable needs no dynamic
+// initialization, so reads are plain TLS loads rather than calls
+// through a TLS init wrapper (which UBSan flags as a null load).
 struct CaptureFrame;
-extern thread_local CaptureFrame* tls_capture_frame;
+extern constinit thread_local CaptureFrame* tls_capture_frame;
 void CaptureCounterWrite(Counter* counter, uint64_t n);
 void CaptureSpanWrite(SpanStats* span, uint64_t calls, uint64_t work);
 }  // namespace internal

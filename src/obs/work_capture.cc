@@ -13,7 +13,7 @@ struct CaptureFrame {
   std::vector<std::pair<SpanStats*, SpanDelta>> span_writes;
 };
 
-thread_local CaptureFrame* tls_capture_frame = nullptr;
+constinit thread_local CaptureFrame* tls_capture_frame = nullptr;
 
 void CaptureCounterWrite(Counter* counter, uint64_t n) {
   tls_capture_frame->counter_writes.emplace_back(counter, n);

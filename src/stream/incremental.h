@@ -4,8 +4,9 @@
 // Incremental GraphSig mining over an append-only database
 // (DESIGN.md §16).
 //
-// The miner composes the same pipeline units as core::GraphSig::Mine
-// (core/mine_pipeline.h) but carries a MineState between calls:
+// There is one mining driver (core/mine_pipeline.h). core::GraphSig::Mine
+// is its null-state run; this miner carries a MineState between calls
+// and passes it in, so the driver reuses work at every level:
 //
 //   * featurization — RWR vectors are computed only for graphs appended
 //     since the last mine; earlier graphs replay their captured
@@ -17,15 +18,20 @@
 //     (group, candidate index); region cuts are cached keyed by
 //     (generation, graph, node) (stream/region_cut_cache.h).
 //
+// The miner's own steps are only the stream-specific ones around that
+// call: the lineage check, feature-space invalidation, and the stream/inc_*
+// accounting counters.
+//
 // The headline guarantee, asserted by tests/stream_test.cc: a mine
-// after N appends produces an artifact AND a deterministic work-counter
-// dump byte-identical to a cold core::GraphSig::Mine of the final
-// database, at any thread count. Counter transparency comes from
-// obs/work_capture.h — every cached unit replays the exact metric
-// contributions its original computation made. The stream/* counters
-// this module bumps for its own accounting (cache hits, graphs
-// featurized, ...) are ingest-side observability and are the one
-// documented exception to that equivalence.
+// after N appends produces an artifact, GraphSigStats AND a
+// deterministic work-counter dump identical to a cold
+// core::GraphSig::Mine of the final database, at any thread count.
+// Counter transparency comes from obs/work_capture.h — every cached
+// unit replays the exact metric contributions its original computation
+// made. The stream/inc_* counters this module bumps for its own
+// accounting (graphs featurized, groups reused, ...) are ingest-side
+// observability and are the one documented exception to that
+// equivalence: a cold mine never touches them.
 //
 // Invalidation: a changed config fingerprint or a restored state whose
 // per-graph generation stamps disagree with the log's discards

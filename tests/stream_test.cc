@@ -19,6 +19,7 @@
 
 #include "core/graphsig.h"
 #include "data/datasets.h"
+#include "data/smiles.h"
 #include "graph/graph_database.h"
 #include "model/artifact.h"
 #include "obs/metrics.h"
@@ -310,6 +311,7 @@ void CheckIncrementalMatchesCold(int num_threads, size_t num_batches) {
   }
   const std::map<std::string, uint64_t> inc_counters =
       NonStreamWorkValues();
+  const core::GraphSigStats inc_stats = incremental.stats;
   const std::string inc_bytes = ArtifactBytes(std::move(incremental), db);
 
   // Cold: one full mine of the final database.
@@ -318,10 +320,12 @@ void CheckIncrementalMatchesCold(int num_threads, size_t num_batches) {
   core::GraphSigResult full = cold.Mine(db);
   const std::map<std::string, uint64_t> cold_counters =
       NonStreamWorkValues();
+  const core::GraphSigStats cold_stats = full.stats;
   const std::string cold_bytes = ArtifactBytes(std::move(full), db);
 
   EXPECT_EQ(inc_bytes, cold_bytes);
   EXPECT_EQ(inc_counters, cold_counters);
+  EXPECT_EQ(inc_stats, cold_stats);
 }
 
 TEST(IncrementalMineTest, MatchesColdMineSingleThread) {
@@ -342,13 +346,46 @@ TEST(IncrementalMineTest, MatchesColdMineEightThreads) {
   CheckIncrementalMatchesCold(8, 5);
 }
 
+// A one-molecule append leaves most anchor-label groups unchanged, so
+// the final mine replays cached groups and region tasks and takes cuts
+// from the cut cache — reuse paths the even splits above, whose final
+// mine runs from a restored state with an empty cut cache, never reach.
+TEST(IncrementalMineTest, MatchesColdMineWhenReplayingCachedTasks) {
+  graph::GraphDatabase db = SmallScreen(12, 17);
+  const core::GraphSigConfig config = SmallConfig(2);
+  IncrementalMiner miner(config);
+  std::vector<uint64_t> generations(db.size(), 1);
+  miner.Mine(db, generations, 1);
+  db.Add(data::ParseSmiles("CCCC").value());
+  generations.push_back(2);
+
+  obs::MetricsRegistry::Global().Reset();
+  IncrementalMineStats reuse;
+  core::GraphSigResult incremental = miner.Mine(db, generations, 2, &reuse);
+  const auto inc_counters = NonStreamWorkValues();
+  EXPECT_GT(reuse.groups_reused, 0);
+  EXPECT_GT(reuse.fsm_tasks_replayed, 0);
+  EXPECT_GT(reuse.cuts_reused, 0);
+
+  obs::MetricsRegistry::Global().Reset();
+  core::GraphSigResult full = core::GraphSig(config).Mine(db);
+  const auto cold_counters = NonStreamWorkValues();
+
+  EXPECT_EQ(incremental.stats, full.stats);
+  EXPECT_EQ(ArtifactBytes(std::move(incremental), db),
+            ArtifactBytes(std::move(full), db));
+  EXPECT_EQ(inc_counters, cold_counters);
+}
+
 // Tarone mode rides the same guarantee: the solved threshold is a pure
 // function of the family, so incremental and cold agree byte for byte
 // with the correction on.
-TEST(IncrementalMineTest, MatchesColdMineWithTarone) {
-  const graph::GraphDatabase db = SmallScreen(16, 13);
+void CheckTaroneIncrementalMatchesCold(uint64_t seed, double alpha) {
+  SCOPED_TRACE("seed=" + std::to_string(seed) +
+               " alpha=" + std::to_string(alpha));
+  const graph::GraphDatabase db = SmallScreen(16, seed);
   core::GraphSigConfig config = SmallConfig(4);
-  config.tarone_alpha = 0.1;
+  config.tarone_alpha = alpha;
 
   IncrementalMiner miner(config);
   graph::GraphDatabase cumulative;
@@ -370,13 +407,50 @@ TEST(IncrementalMineTest, MatchesColdMineWithTarone) {
   core::GraphSigResult full = core::GraphSig(config).Mine(db);
   const auto cold_counters = NonStreamWorkValues();
 
-  EXPECT_EQ(incremental.stats.tarone_delta_star,
-            full.stats.tarone_delta_star);
-  EXPECT_EQ(incremental.stats.tarone_family_size,
-            full.stats.tarone_family_size);
+  EXPECT_GT(full.stats.tarone_filtered_vectors, 0);
+  EXPECT_EQ(incremental.stats, full.stats);
   EXPECT_EQ(ArtifactBytes(std::move(incremental), db),
             ArtifactBytes(std::move(full), db));
   EXPECT_EQ(inc_counters, cold_counters);
+}
+
+TEST(IncrementalMineTest, MatchesColdMineWithTarone) {
+  CheckTaroneIncrementalMatchesCold(13, 0.1);
+  // In these two, delta* keeps the first candidates in label order,
+  // ahead of any it filters: the filter must keep them in place without
+  // emptying them.
+  CheckTaroneIncrementalMatchesCold(2, 1.0);
+  CheckTaroneIncrementalMatchesCold(9, 1.0);
+}
+
+// A cold mine is the driver's null-state run: it registers and bumps no
+// stream/* counter. Values are compared before and after, not key
+// presence, so the test holds when other tests in the same process have
+// registered the keys. (Tarone mode is off: its stream/tarone_* work
+// counters belong to both modes.)
+TEST(IncrementalMineTest, ColdMineLeavesStreamCountersUnchanged) {
+  const auto stream_values = [] {
+    std::map<std::string, uint64_t> values;
+    for (const auto& [name, value] :
+         obs::MetricsRegistry::Global().WorkValues()) {
+      if (name.rfind("stream/", 0) == 0) values.emplace(name, value);
+    }
+    return values;
+  };
+  const graph::GraphDatabase db = SmallScreen(12, 17);
+  const core::GraphSigConfig config = SmallConfig(2);
+
+  const auto before = stream_values();
+  core::GraphSig(config).Mine(db);
+  EXPECT_EQ(stream_values(), before);
+
+  // Once an incremental mine has registered and bumped them, a cold
+  // mine still leaves every value where it was.
+  IncrementalMiner(config).Mine(db, std::vector<uint64_t>(db.size(), 1), 1);
+  const auto primed = stream_values();
+  ASSERT_NE(primed, before);
+  core::GraphSig(config).Mine(db);
+  EXPECT_EQ(stream_values(), primed);
 }
 
 // Reuse accounting: a second mine over an unchanged-feature-space

@@ -11,6 +11,8 @@
 
 #include <cstdio>
 
+#include <optional>
+
 #include "classify/auc.h"
 #include "classify/sig_knn.h"
 #include "tools/tool_util.h"
@@ -33,6 +35,9 @@ int main(int argc, char** argv) {
                  "[--predictions=FILE] [--metrics-out=FILE]\n");
     return 1;
   }
+  const std::optional<core::GraphSigConfig> mining =
+      tools::MiningConfigFromFlags(flags);
+  if (!mining) return 1;
   const std::string format = flags.GetString("format", "smiles");
   auto train = tools::LoadDatabase(train_path, format);
   if (!train.ok()) tools::Fail(train.status());
@@ -41,13 +46,8 @@ int main(int argc, char** argv) {
 
   classify::SigKnnConfig config;
   config.k = static_cast<int>(flags.GetInt("k", config.k));
-  config.mining.max_pvalue =
-      flags.GetDouble("max-pvalue", config.mining.max_pvalue);
-  config.mining.min_freq_percent =
-      flags.GetDouble("min-freq", config.mining.min_freq_percent);
-  const int threads = tools::ResolveThreads(
-      flags.GetInt("threads", config.mining.num_threads));
-  config.mining.num_threads = threads;
+  config.mining = *mining;
+  const int threads = config.mining.num_threads;
 
   classify::GraphSigClassifier classifier(config);
   util::WallTimer train_timer;

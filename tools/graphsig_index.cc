@@ -16,6 +16,8 @@
 
 #include <cstdio>
 
+#include <optional>
+
 #include "classify/sig_knn.h"
 #include "core/graphsig.h"
 #include "graph/statistics.h"
@@ -39,6 +41,9 @@ int main(int argc, char** argv) {
                  "[--no-frequency]\n");
     return 1;
   }
+  const std::optional<core::GraphSigConfig> config =
+      tools::MiningConfigFromFlags(flags);
+  if (!config) return 1;
   auto loaded =
       tools::LoadDatabase(input, flags.GetString("format", "smiles"));
   if (!loaded.ok()) tools::Fail(loaded.status());
@@ -47,18 +52,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: no graphs to index\n");
     return 1;
   }
-
-  core::GraphSigConfig config;
-  config.max_pvalue = flags.GetDouble("max-pvalue", config.max_pvalue);
-  config.min_freq_percent =
-      flags.GetDouble("min-freq", config.min_freq_percent);
-  config.cutoff_radius =
-      static_cast<int>(flags.GetInt("radius", config.cutoff_radius));
-  config.fsg_freq_percent =
-      flags.GetDouble("fsg-freq", config.fsg_freq_percent);
-  config.num_threads =
-      tools::ResolveThreads(flags.GetInt("threads", config.num_threads));
-  config.compute_db_frequency = !flags.GetBool("no-frequency");
 
   // Mine the catalog from the actives (the paper's workload) unless the
   // caller asks for everything or no actives exist.
@@ -69,11 +62,9 @@ int main(int argc, char** argv) {
   std::printf("mining catalog from %s (%zu graphs)\n",
               mine_all ? "all graphs" : "active class", mine_db.size());
 
-  core::GraphSig miner(config);
-  util::WallTimer mine_timer;
-  core::GraphSigResult mined = miner.Mine(mine_db);
+  core::GraphSigResult mined = core::GraphSig(*config).Mine(mine_db);
   std::printf("mined %zu significant subgraphs in %.2fs\n",
-              mined.subgraphs.size(), mine_timer.ElapsedSeconds());
+              mined.subgraphs.size(), mined.profile.total_seconds);
 
   model::ModelArtifact artifact;
   artifact.database = std::move(db);
@@ -85,7 +76,7 @@ int main(int argc, char** argv) {
   const size_t num_inactive = artifact.database.size() - num_active;
   if (num_active > 0 && num_inactive > 0) {
     classify::SigKnnConfig knn_config;
-    knn_config.mining = config;
+    knn_config.mining = *config;
     knn_config.k = static_cast<int>(flags.GetInt("k", knn_config.k));
     classify::GraphSigClassifier classifier(knn_config);
     util::WallTimer train_timer;

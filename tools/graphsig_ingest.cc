@@ -22,6 +22,7 @@
 
 #include <cstdio>
 
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -32,7 +33,6 @@
 #include "stream/incremental.h"
 #include "stream/ingest_log.h"
 #include "tools/tool_util.h"
-#include "util/timer.h"
 
 int main(int argc, char** argv) {
   using namespace graphsig;
@@ -49,6 +49,13 @@ int main(int argc, char** argv) {
                  "[--no-frequency] [--metrics-out=FILE]\n");
     return 1;
   }
+
+  std::optional<core::GraphSigConfig> config =
+      tools::MiningConfigFromFlags(flags);
+  const std::optional<double> tarone_alpha = tools::FlagInRange(
+      flags, "tarone-alpha", core::GraphSigConfig().tarone_alpha, 0.0, 1.0);
+  if (!config || !tarone_alpha) return 1;
+  config->tarone_alpha = *tarone_alpha;
 
   auto opened = stream::IngestLog::Open(log_path);
   if (!opened.ok()) tools::Fail(opened.status());
@@ -83,21 +90,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "error: nothing to mine (log is empty)\n");
       return 1;
     }
-    core::GraphSigConfig config;
-    config.max_pvalue = flags.GetDouble("max-pvalue", config.max_pvalue);
-    config.min_freq_percent =
-        flags.GetDouble("min-freq", config.min_freq_percent);
-    config.cutoff_radius =
-        static_cast<int>(flags.GetInt("radius", config.cutoff_radius));
-    config.fsg_freq_percent =
-        flags.GetDouble("fsg-freq", config.fsg_freq_percent);
-    config.num_threads =
-        tools::ResolveThreads(flags.GetInt("threads", config.num_threads));
-    config.compute_db_frequency = !flags.GetBool("no-frequency");
-    config.tarone_alpha =
-        flags.GetDouble("tarone-alpha", config.tarone_alpha);
-
-    stream::IncrementalMiner miner(config);
+    stream::IncrementalMiner miner(*config);
     if (!flags.GetBool("rebuild") && !log.contents().checkpoint.empty()) {
       auto restored = miner.Restore(log.contents().checkpoint);
       if (!restored.ok()) tools::Fail(restored.status());
@@ -120,7 +113,6 @@ int main(int argc, char** argv) {
     }
     std::printf("mining %s\n", graph::DescribeDatabase(db).c_str());
 
-    util::WallTimer mine_timer;
     stream::IncrementalMineStats inc;
     core::GraphSigResult result =
         miner.Mine(db, graph_generations, log.last_generation(), &inc);
@@ -128,14 +120,14 @@ int main(int argc, char** argv) {
         "mined %zu significant subgraphs in %.2fs (featurized %lld "
         "graphs, reused %lld; mined %lld groups, reused %lld; mined "
         "%lld region tasks, replayed %lld)\n",
-        result.subgraphs.size(), mine_timer.ElapsedSeconds(),
+        result.subgraphs.size(), result.profile.total_seconds,
         static_cast<long long>(inc.graphs_featurized),
         static_cast<long long>(inc.graphs_reused),
         static_cast<long long>(inc.groups_mined),
         static_cast<long long>(inc.groups_reused),
         static_cast<long long>(inc.fsm_tasks_mined),
         static_cast<long long>(inc.fsm_tasks_replayed));
-    if (config.tarone_alpha > 0) {
+    if (config->tarone_alpha > 0) {
       std::printf("tarone: family %lld, delta* %.3e, %lld filtered\n",
                   static_cast<long long>(result.stats.tarone_family_size),
                   result.stats.tarone_delta_star,
@@ -157,7 +149,7 @@ int main(int argc, char** argv) {
       artifact.feature_space = std::move(result.feature_space);
       artifact.catalog = std::move(result.subgraphs);
       artifact.generation = log.last_generation();
-      artifact.tarone_alpha = config.tarone_alpha;
+      artifact.tarone_alpha = config->tarone_alpha;
       artifact.tarone_delta_star = result.stats.tarone_delta_star;
       artifact.tarone_family_size =
           static_cast<uint64_t>(result.stats.tarone_family_size);

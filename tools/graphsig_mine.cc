@@ -11,6 +11,7 @@
 #include <cstdio>
 
 #include <fstream>
+#include <optional>
 
 #include "core/graphsig.h"
 #include "core/report.h"
@@ -18,7 +19,6 @@
 #include "data/smiles.h"
 #include "graph/statistics.h"
 #include "tools/tool_util.h"
-#include "util/timer.h"
 
 int main(int argc, char** argv) {
   using namespace graphsig;
@@ -35,6 +35,9 @@ int main(int argc, char** argv) {
                  " [--metrics-out=FILE]\n");
     return 1;
   }
+  const std::optional<core::GraphSigConfig> config =
+      tools::MiningConfigFromFlags(flags);
+  if (!config) return 1;
   auto loaded =
       tools::LoadDatabase(input, flags.GetString("format", "smiles"));
   if (!loaded.ok()) tools::Fail(loaded.status());
@@ -46,21 +49,7 @@ int main(int argc, char** argv) {
   }
   std::printf("mining %s\n", graph::DescribeDatabase(db).c_str());
 
-  core::GraphSigConfig config;
-  config.max_pvalue = flags.GetDouble("max-pvalue", config.max_pvalue);
-  config.min_freq_percent =
-      flags.GetDouble("min-freq", config.min_freq_percent);
-  config.cutoff_radius =
-      static_cast<int>(flags.GetInt("radius", config.cutoff_radius));
-  config.fsg_freq_percent =
-      flags.GetDouble("fsg-freq", config.fsg_freq_percent);
-  config.num_threads =
-      tools::ResolveThreads(flags.GetInt("threads", config.num_threads));
-  config.compute_db_frequency = !flags.GetBool("no-frequency");
-
-  core::GraphSig miner(config);
-  util::WallTimer timer;
-  core::GraphSigResult result = miner.Mine(db);
+  core::GraphSigResult result = core::GraphSig(*config).Mine(db);
   std::printf(
       "done in %.2fs (RWR %.2fs, feature analysis %.2fs, FSM %.2fs)\n",
       result.profile.total_seconds, result.profile.rwr_seconds,

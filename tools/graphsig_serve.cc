@@ -72,29 +72,6 @@ int64_t FileMtimeNs(const std::string& path) {
          st.st_mtim.tv_nsec;
 }
 
-// Reads integer flag --`name` (default `fallback`). Returns nullopt,
-// after printing a message naming the flag, when the value is not an
-// integer in [lo, hi].
-std::optional<int64_t> IntFlagInRange(const graphsig::tools::Flags& flags,
-                                      const std::string& name,
-                                      int64_t fallback, int64_t lo,
-                                      int64_t hi) {
-  const std::string raw = flags.GetString(name, std::to_string(fallback));
-  auto value = graphsig::util::ParseInt(raw);
-  if (value.ok() && value.value() >= lo && value.value() <= hi) {
-    return value.value();
-  }
-  if (hi == std::numeric_limits<int64_t>::max()) {
-    std::fprintf(stderr, "--%s must be an integer >= %lld, got '%s'\n",
-                 name.c_str(), static_cast<long long>(lo), raw.c_str());
-  } else {
-    std::fprintf(stderr, "--%s must be an integer in [%lld, %lld], got '%s'\n",
-                 name.c_str(), static_cast<long long>(lo),
-                 static_cast<long long>(hi), raw.c_str());
-  }
-  return std::nullopt;
-}
-
 // Loads the artifact at `path` and swaps it into `handle` as the next
 // generation. On failure the old catalog keeps serving.
 void TryReload(const std::string& path,
@@ -136,15 +113,15 @@ int main(int argc, char** argv) {
   }
   net::ServerConfig config;
   const std::optional<int64_t> port =
-      IntFlagInRange(flags, "port", 7117, 0, 65535);
-  const std::optional<int64_t> max_inflight = IntFlagInRange(
+      tools::FlagInRange<int64_t>(flags, "port", 7117, 0, 65535);
+  const std::optional<int64_t> max_inflight = tools::FlagInRange<int64_t>(
       flags, "max-inflight",
       static_cast<int64_t>(config.max_inflight_requests), 1,
       std::numeric_limits<int64_t>::max());
   // The frame header's u32 payload length cannot announce 4 GiB, so a
   // larger cap would never bind.
   const std::optional<int64_t> max_frame_mb =
-      IntFlagInRange(flags, "max-frame-mb", 16, 1, 4095);
+      tools::FlagInRange<int64_t>(flags, "max-frame-mb", 16, 1, 4095);
   if (!port || !max_inflight || !max_frame_mb) return 1;
 
   util::WallTimer load_timer;

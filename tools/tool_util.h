@@ -11,10 +11,14 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <type_traits>
 
+#include "core/graphsig.h"
 #include "data/molfile.h"
 #include "data/smiles.h"
 #include "graph/io.h"
@@ -139,6 +143,8 @@ class Flags {
     return GetString(name, "") == "true";
   }
 
+  bool Has(const std::string& name) const { return values_.count(name) > 0; }
+
  private:
   std::map<std::string, std::string> values_;
 };
@@ -148,6 +154,69 @@ class Flags {
 inline int ResolveThreads(int64_t flag_value) {
   if (flag_value <= 0) return util::HardwareThreads();
   return static_cast<int>(flag_value);
+}
+
+// Reads flag --`name` as a T (int64_t or double) in [lo, hi], or in
+// (lo, hi] when `lo_open`; `fallback` when the flag is absent. Any
+// other value, including one that does not parse, prints a message
+// naming the flag and returns nullopt.
+template <typename T>
+std::optional<T> FlagInRange(const Flags& flags, const std::string& name,
+                             T fallback, T lo, T hi, bool lo_open = false) {
+  if (!flags.Has(name)) return fallback;
+  const std::string raw = flags.GetString(name, "");
+  const util::Result<T> value = [&] {
+    if constexpr (std::is_integral_v<T>) {
+      return util::ParseInt(raw);
+    } else {
+      return util::ParseDouble(raw);
+    }
+  }();
+  if (value.ok() && (lo_open ? value.value() > lo : value.value() >= lo) &&
+      value.value() <= hi) {
+    return value.value();
+  }
+  const char* kind = std::is_integral_v<T> ? "an integer" : "a number";
+  if (hi == std::numeric_limits<T>::max()) {
+    std::fprintf(stderr, "--%s must be %s >= %.15g, got '%s'\n",
+                 name.c_str(), kind, static_cast<double>(lo), raw.c_str());
+  } else {
+    std::fprintf(stderr, "--%s must be %s in %c%.15g, %.15g], got '%s'\n",
+                 name.c_str(), kind, lo_open ? '(' : '[',
+                 static_cast<double>(lo), static_cast<double>(hi),
+                 raw.c_str());
+  }
+  return std::nullopt;
+}
+
+// The mining flags: --max-pvalue in (0, 1], --min-freq in [0, 100],
+// --radius >= 0, --fsg-freq in (0, 100], --threads >= 0 (0 = auto) and
+// --no-frequency. Nullopt, after a message naming each bad flag, when
+// any value is out of range or does not parse.
+inline std::optional<core::GraphSigConfig> MiningConfigFromFlags(
+    const Flags& flags) {
+  core::GraphSigConfig config;
+  constexpr int64_t kIntMax = std::numeric_limits<int>::max();
+  const auto max_pvalue =
+      FlagInRange(flags, "max-pvalue", config.max_pvalue, 0.0, 1.0, true);
+  const auto min_freq =
+      FlagInRange(flags, "min-freq", config.min_freq_percent, 0.0, 100.0);
+  const auto radius = FlagInRange<int64_t>(flags, "radius",
+                                           config.cutoff_radius, 0, kIntMax);
+  const auto fsg_freq = FlagInRange(flags, "fsg-freq",
+                                    config.fsg_freq_percent, 0.0, 100.0, true);
+  const auto threads = FlagInRange<int64_t>(flags, "threads",
+                                            config.num_threads, 0, kIntMax);
+  if (!max_pvalue || !min_freq || !radius || !fsg_freq || !threads) {
+    return std::nullopt;
+  }
+  config.max_pvalue = *max_pvalue;
+  config.min_freq_percent = *min_freq;
+  config.cutoff_radius = static_cast<int>(*radius);
+  config.fsg_freq_percent = *fsg_freq;
+  config.num_threads = ResolveThreads(*threads);
+  config.compute_db_frequency = !flags.GetBool("no-frequency");
+  return config;
 }
 
 inline util::Result<std::string> ReadFile(const std::string& path) {
