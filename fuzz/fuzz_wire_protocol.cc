@@ -75,10 +75,8 @@ void FuzzTypedDecoders(const wire::Frame& frame) {
     case wire::MessageType::kStatsReply: {
       auto stats = wire::DecodeStatsReply(payload);
       if (stats.ok()) {
-        // All encodings are canonical (the v2 counter section is omitted
-        // entirely when empty; the v4 generation trailer only ever rides
-        // behind a non-empty counter section), so decode must invert
-        // encode byte-for-byte across versions.
+        // The reply has one encoding, always written in full, so decode
+        // must invert encode byte-for-byte.
         GS_CHECK(wire::EncodeStatsReply(stats.value()) == payload);
         auto again =
             wire::DecodeStatsReply(wire::EncodeStatsReply(stats.value()));
@@ -86,8 +84,6 @@ void FuzzTypedDecoders(const wire::Frame& frame) {
         GS_CHECK_EQ(again.value().requests_served,
                     stats.value().requests_served);
         GS_CHECK(again.value().work_counters == stats.value().work_counters);
-        GS_CHECK(again.value().has_generation ==
-                 stats.value().has_generation);
         GS_CHECK_EQ(again.value().generation, stats.value().generation);
       }
       break;
@@ -132,15 +128,7 @@ void FuzzTypedDecoders(const wire::Frame& frame) {
       }
       break;
     }
-    case wire::MessageType::kStats: {
-      // v1 is the empty payload, v2 a single version byte; both
-      // spellings are canonical, so encode must invert decode exactly.
-      auto req = wire::DecodeStatsRequest(payload);
-      if (req.ok()) {
-        GS_CHECK(wire::EncodeStatsRequest(req.value()) == payload);
-      }
-      break;
-    }
+    case wire::MessageType::kStats:
     case wire::MessageType::kHealth:
     case wire::MessageType::kRetryLater:
       break;  // no payload to decode
@@ -183,7 +171,6 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
         if (!next.value().has_value()) break;
         GS_CHECK(produced < whole_frames.size());
         GS_CHECK(next.value()->type == whole_frames[produced].type);
-        GS_CHECK(next.value()->version == whole_frames[produced].version);
         GS_CHECK(next.value()->payload == whole_frames[produced].payload);
         ++produced;
       }

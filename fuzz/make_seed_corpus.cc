@@ -165,28 +165,15 @@ int main(int argc, char** argv) {
     stats.serving.total_latency_ms = 12.5;
     stats.requests_served = 42;
     stats.frames_received = 43;
+    stats.work_counters = {{"fvmine/expansions", 1234},
+                           {"rwr/power_iterations", 56},
+                           {"span/mine/work", 789}};
+    stats.generation = 7;
     WriteFileOrDie(root / "wire" / "stats_reply.bin",
                    wire::EncodeFrame(wire::MessageType::kStatsReply,
                                      wire::EncodeStatsReply(stats)));
-    // v2 stats shapes: the versioned request and a reply carrying the
-    // work-counter section, both on v2-stamped frames.
-    wire::StatsRequest stats_v2;
-    stats_v2.version = 2;
-    WriteFileOrDie(
-        root / "wire" / "stats_v2.bin",
-        wire::EncodeFrame(wire::MessageType::kStats,
-                          wire::EncodeStatsRequest(stats_v2), 2));
-    wire::StatsReply stats_with_counters = stats;
-    stats_with_counters.work_counters = {{"fvmine/expansions", 1234},
-                                         {"rwr/power_iterations", 56},
-                                         {"span/mine/work", 789}};
-    WriteFileOrDie(
-        root / "wire" / "stats_reply_v2.bin",
-        wire::EncodeFrame(wire::MessageType::kStatsReply,
-                          wire::EncodeStatsReply(stats_with_counters),
-                          wire::StatsReplyWireVersion(stats_with_counters)));
-    // Approx tier (wire v3): a support-mode request over a real graph
-    // and the matching reply shape, both on v3-stamped frames.
+    // Approx tier: a support-mode request over a real graph and the
+    // matching reply shape.
     wire::ApproxRequest approx;
     approx.mode = 0;
     approx.seed = 7;
@@ -195,8 +182,7 @@ int main(int argc, char** argv) {
     approx.pattern = db.graph(1);
     WriteFileOrDie(root / "wire" / "approx_query.bin",
                    wire::EncodeFrame(wire::MessageType::kApproxQuery,
-                                     wire::EncodeApproxRequest(approx),
-                                     wire::kApproxWireVersion));
+                                     wire::EncodeApproxRequest(approx)));
     wire::ApproxReply approx_reply;
     approx_reply.mode = 0;
     approx_reply.samples = 64;
@@ -208,8 +194,7 @@ int main(int argc, char** argv) {
     approx_reply.confidence = 0.95;
     WriteFileOrDie(root / "wire" / "approx_reply.bin",
                    wire::EncodeFrame(wire::MessageType::kApproxReply,
-                                     wire::EncodeApproxReply(approx_reply),
-                                     wire::kApproxWireVersion));
+                                     wire::EncodeApproxReply(approx_reply)));
     wire::HealthReply health;
     health.ok = true;
     health.num_patterns = 64;
@@ -236,24 +221,6 @@ int main(int argc, char** argv) {
                    reply_frame.substr(0, 9));
     WriteFileOrDie(root / "wire" / "truncated_payload.bin",
                    reply_frame.substr(0, reply_frame.size() - 3));
-    // v4 stats shapes: the versioned request and a reply whose counter
-    // section carries the trailing catalog-generation field.
-    wire::StatsRequest stats_v4;
-    stats_v4.version = wire::kStatsGenerationWireVersion;
-    WriteFileOrDie(
-        root / "wire" / "stats_v4.bin",
-        wire::EncodeFrame(wire::MessageType::kStats,
-                          wire::EncodeStatsRequest(stats_v4),
-                          wire::kStatsGenerationWireVersion));
-    wire::StatsReply stats_with_generation = stats_with_counters;
-    stats_with_generation.has_generation = true;
-    stats_with_generation.generation = 7;
-    WriteFileOrDie(
-        root / "wire" / "stats_reply_v4.bin",
-        wire::EncodeFrame(
-            wire::MessageType::kStatsReply,
-            wire::EncodeStatsReply(stats_with_generation),
-            wire::StatsReplyWireVersion(stats_with_generation)));
   }
 
   // ingest_log: a valid streaming log (two batches + a real mine-state

@@ -34,12 +34,11 @@ util::Status Client::Connect() {
 }
 
 util::Status Client::SendFrame(wire::MessageType type,
-                               std::string_view payload,
-                               uint8_t version) {
+                               std::string_view payload) {
   if (!connected()) {
     return util::Status::FailedPrecondition("client is not connected");
   }
-  return WriteAll(socket_.fd(), wire::EncodeFrame(type, payload, version));
+  return WriteAll(socket_.fd(), wire::EncodeFrame(type, payload));
 }
 
 util::Result<wire::Frame> Client::ReadFrame() {
@@ -69,8 +68,7 @@ util::Result<wire::Frame> Client::ReadFrame() {
 }
 
 util::Result<wire::Frame> Client::RoundTrip(wire::MessageType type,
-                                            const std::string& payload,
-                                            uint8_t version) {
+                                            const std::string& payload) {
   util::Status last = util::Status::Ok();
   for (int attempt = 0; attempt <= config_.max_reconnect_attempts;
        ++attempt) {
@@ -81,7 +79,7 @@ util::Result<wire::Frame> Client::RoundTrip(wire::MessageType type,
         continue;
       }
     }
-    util::Status sent = SendFrame(type, payload, version);
+    util::Status sent = SendFrame(type, payload);
     if (sent.ok()) {
       auto frame = ReadFrame();
       if (frame.ok()) return frame;
@@ -192,25 +190,16 @@ util::Result<wire::ApproxReply> Client::Approx(
   GS_ASSIGN_OR_RETURN(
       wire::Frame raw,
       RoundTrip(wire::MessageType::kApproxQuery,
-                wire::EncodeApproxRequest(request),
-                wire::kApproxWireVersion));
+                wire::EncodeApproxRequest(request)));
   GS_ASSIGN_OR_RETURN(
       wire::Frame frame,
       ExpectType(std::move(raw), wire::MessageType::kApproxReply));
   return wire::DecodeApproxReply(frame.payload);
 }
 
-util::Result<wire::StatsReply> Client::Stats(uint8_t version) {
-  wire::StatsRequest request;
-  request.version = version;
-  const std::string payload = wire::EncodeStatsRequest(request);
-  // A version-byte payload is a v2 construct, so the frame is stamped
-  // v2; the plain (empty) request stays on v1 frames and old servers
-  // keep accepting it.
-  GS_ASSIGN_OR_RETURN(
-      wire::Frame raw,
-      RoundTrip(wire::MessageType::kStats, payload,
-                payload.empty() ? wire::kBaseWireVersion : uint8_t{2}));
+util::Result<wire::StatsReply> Client::Stats() {
+  GS_ASSIGN_OR_RETURN(wire::Frame raw,
+                      RoundTrip(wire::MessageType::kStats, ""));
   GS_ASSIGN_OR_RETURN(
       wire::Frame frame,
       ExpectType(std::move(raw), wire::MessageType::kStatsReply));

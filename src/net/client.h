@@ -64,28 +64,21 @@ class Client {
       const std::vector<graph::Graph>& queries,
       const wire::QueryOptions& options = {});
 
-  // One approximate-estimate query (wire v3): the server runs the
-  // seeded estimator `request` names and returns the estimate with its
-  // confidence interval. Requires a v3-capable server; older servers
-  // reject the frame version and the stream errors out.
+  // One approximate-estimate query: the server runs the seeded
+  // estimator `request` names and returns the estimate with its
+  // confidence interval.
   util::Result<wire::ApproxReply> Approx(const wire::ApproxRequest& request);
 
-  // `version` selects the stats payload to ask for: kBaseWireVersion
-  // requests the v1 reply (what a pre-v2 client sends on the wire —
-  // also the right choice against an old server), anything newer asks
-  // for the extended reply with named work counters.
-  util::Result<wire::StatsReply> Stats(
-      uint8_t version = wire::kWireVersion);
+  // The server's counters, named work counters and catalog generation.
+  util::Result<wire::StatsReply> Stats();
   util::Result<wire::HealthReply> Health();
 
  private:
   // Sends one request frame and reads one reply frame, reconnecting and
   // retrying once on a broken connection.
-  util::Result<wire::Frame> RoundTrip(
-      wire::MessageType type, const std::string& payload,
-      uint8_t version = wire::kBaseWireVersion);
-  util::Status SendFrame(wire::MessageType type, std::string_view payload,
-                         uint8_t version = wire::kBaseWireVersion);
+  util::Result<wire::Frame> RoundTrip(wire::MessageType type,
+                                      const std::string& payload);
+  util::Status SendFrame(wire::MessageType type, std::string_view payload);
   util::Result<wire::Frame> ReadFrame();
   // Maps RetryLater/Error envelope frames to Status; returns the frame
   // unchanged if it matches `expected`.

@@ -77,6 +77,7 @@ constexpr uint64_t kWakeupId = 1;
 // re-notifies while more bytes are pending, so a flooding client cannot
 // starve other connections.
 constexpr size_t kReadChunkBytes = 64 * 1024;
+constexpr int kListenBacklog = 128;
 
 std::string ErrorFrame(const util::Status& status) {
   wire::ErrorReply reply;
@@ -104,7 +105,7 @@ util::Status Server::Start() {
   }
   GS_ASSIGN_OR_RETURN(
       listener_,
-      ListenTcp(config_.host, config_.port, config_.listen_backlog));
+      ListenTcp(config_.host, config_.port, kListenBacklog));
   GS_RETURN_IF_ERROR(SetNonBlocking(listener_.fd(), true));
   GS_ASSIGN_OR_RETURN(port_, LocalPort(listener_));
 
@@ -333,17 +334,27 @@ void Server::DispatchRequest(uint64_t id, Connection* conn,
                              wire::Frame frame) {
   switch (frame.type) {
     case wire::MessageType::kStats:
+    case wire::MessageType::kHealth: {
       // Stats and health answer inline on the loop thread: they are a
       // few mutex-guarded reads, and keeping them outside admission
       // control means monitoring still works while the server sheds
       // query load. They still claim a reply slot so pipelined replies
-      // keep request order.
-      QueueReply(conn, AllocateReplySlot(conn),
-                 ProcessStats(frame.payload));
+      // keep request order. Neither request carries a payload; one that
+      // does is answered like any undecodable request, on a connection
+      // that stays open.
+      std::string reply;
+      if (!frame.payload.empty()) {
+        reply = ErrorFrame(util::Status::ParseError(util::StrPrintf(
+            "%s request must be empty, got %zu payload bytes",
+            wire::MessageTypeName(frame.type), frame.payload.size())));
+      } else if (frame.type == wire::MessageType::kStats) {
+        reply = ProcessStats();
+      } else {
+        reply = ProcessHealth();
+      }
+      QueueReply(conn, AllocateReplySlot(conn), std::move(reply));
       return;
-    case wire::MessageType::kHealth:
-      QueueReply(conn, AllocateReplySlot(conn), ProcessHealth());
-      return;
+    }
     case wire::MessageType::kQuery:
     case wire::MessageType::kBatchQuery:
     case wire::MessageType::kApproxQuery:
@@ -422,7 +433,6 @@ std::string Server::ProcessBatchQuery(std::string_view payload) {
   auto request = wire::DecodeBatchQueryRequest(payload);
   if (!request.ok()) return ErrorFrame(request.status());
   serve::CatalogQueryConfig config;
-  config.num_threads = config_.batch_threads;
   config.compute_matches = request.value().options.compute_matches;
   config.compute_score = request.value().options.compute_score;
   const auto catalog = catalog_->Current();
@@ -451,15 +461,12 @@ std::string Server::ProcessApprox(std::string_view payload) {
   const auto catalog = catalog_->Current();
   auto result = catalog->ApproxQuery(request.value().pattern, config);
   if (!result.ok()) return ErrorFrame(result.status());
-  return wire::EncodeFrame(wire::MessageType::kApproxReply,
-                           wire::EncodeApproxReply(
-                               wire::ReplyFromApprox(result.value())),
-                           wire::kApproxWireVersion);
+  return wire::EncodeFrame(
+      wire::MessageType::kApproxReply,
+      wire::EncodeApproxReply(wire::ReplyFromApprox(result.value())));
 }
 
-std::string Server::ProcessStats(std::string_view payload) {
-  auto request = wire::DecodeStatsRequest(payload);
-  if (!request.ok()) return ErrorFrame(request.status());
+std::string Server::ProcessStats() {
   wire::StatsReply reply;
   const auto catalog = catalog_->Current();
   reply.serving = catalog->Snapshot();
@@ -470,34 +477,21 @@ std::string Server::ProcessStats(std::string_view payload) {
   reply.requests_served = counters.requests_served;
   reply.protocol_errors = counters.protocol_errors;
   reply.retries_sent = counters.retries_sent;
-  if (request.value().version >= 2) {
-    // v2 extension: export the process's deterministic work counters
-    // by name. The map is already sorted, so the section is stable.
-    for (const auto& [name, value] :
-         obs::MetricsRegistry::Global().WorkValues()) {
-      reply.work_counters.emplace_back(name, value);
-    }
+  // The process's deterministic work counters by name; the map is
+  // already sorted, so the section is stable.
+  for (const auto& [name, value] :
+       obs::MetricsRegistry::Global().WorkValues()) {
+    reply.work_counters.emplace_back(name, value);
   }
-  if (request.value().version >= wire::kStatsGenerationWireVersion) {
-    // v4 extension: which catalog generation answered this request.
-    // The counter section above is never empty here (serving this very
-    // request already bumped net/ counters), so the trailer always has
-    // its carrier.
-    reply.has_generation = true;
-    reply.generation = catalog->generation();
-  }
-  // Stamp the lowest version able to carry the payload: a v1 client
-  // gets a v1 frame it can decode even though the server speaks v2.
+  reply.generation = catalog->generation();
   return wire::EncodeFrame(wire::MessageType::kStatsReply,
-                           wire::EncodeStatsReply(reply),
-                           wire::StatsReplyWireVersion(reply));
+                           wire::EncodeStatsReply(reply));
 }
 
 std::string Server::ProcessHealth() {
   wire::HealthReply reply;
   reply.ok = true;
   reply.draining = draining();
-  reply.wire_version = wire::kWireVersion;
   const auto catalog = catalog_->Current();
   reply.num_patterns = catalog->num_patterns();
   reply.has_classifier = catalog->has_classifier();

@@ -52,14 +52,11 @@ struct ServerConfig {
   std::string host = "127.0.0.1";
   // 0 binds an ephemeral port; read it back with Server::port().
   uint16_t port = 0;
-  int listen_backlog = 128;
   // Hard cap on one frame's payload; larger announcements are protocol
   // errors and close the connection.
   size_t max_frame_bytes = wire::kDefaultMaxFrameBytes;
   // Admission bound: frames queued-or-executing before RETRY_LATER.
   size_t max_inflight_requests = 64;
-  // Worker claim-loop width for one BatchQuery frame (0 = hardware).
-  int batch_threads = 0;
   // Force-close straggling connections this long after drain starts.
   double drain_timeout_seconds = 5.0;
   // Emit one structured "stats:" log line this often (0 = disabled).
@@ -158,7 +155,7 @@ class Server {
   std::string ProcessQuery(std::string_view payload);
   std::string ProcessBatchQuery(std::string_view payload);
   std::string ProcessApprox(std::string_view payload);
-  std::string ProcessStats(std::string_view payload);
+  std::string ProcessStats();
   std::string ProcessHealth();
   // One structured log line with the current counters (see
   // ServerConfig::stats_log_period_seconds).

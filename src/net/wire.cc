@@ -4,7 +4,6 @@
 
 #include "graph/serialize.h"
 #include "util/binary.h"
-#include "util/check.h"
 #include "util/strings.h"
 
 namespace graphsig::net::wire {
@@ -134,13 +133,10 @@ bool IsKnownType(uint8_t raw) {
 
 }  // namespace
 
-std::string EncodeFrame(MessageType type, std::string_view payload,
-                        uint8_t version) {
-  GS_CHECK_GE(version, kBaseWireVersion);
-  GS_CHECK_LE(version, kWireVersion);
+std::string EncodeFrame(MessageType type, std::string_view payload) {
   util::ByteWriter w;
   w.WriteU32(kMagic);
-  w.WriteU8(version);
+  w.WriteU8(kWireVersion);
   w.WriteU8(static_cast<uint8_t>(type));
   w.WriteU16(0);  // reserved
   w.WriteU32(static_cast<uint32_t>(payload.size()));
@@ -177,14 +173,10 @@ util::Result<std::optional<Frame>> FrameDecoder::Next() {
     return util::Status::ParseError(
         util::StrPrintf("bad frame magic 0x%08x", magic));
   }
-  if (version > kWireVersion) {
+  if (version != kWireVersion) {
     return util::Status::FailedPrecondition(util::StrPrintf(
-        "frame version %u newer than supported %u", version, kWireVersion));
-  }
-  if (version < kBaseWireVersion) {
-    return util::Status::ParseError(
-        util::StrPrintf("frame version %u below minimum %u", version,
-                        kBaseWireVersion));
+        "frame version %u, this build speaks only %u", version,
+        kWireVersion));
   }
   if (reserved != 0) {
     return util::Status::ParseError(util::StrPrintf(
@@ -204,7 +196,6 @@ util::Result<std::optional<Frame>> FrameDecoder::Next() {
   }
   Frame frame;
   frame.type = static_cast<MessageType>(raw_type);
-  frame.version = version;
   frame.payload.assign(pending.substr(kFrameHeaderBytes, payload_size));
   if (util::Crc32(frame.payload) != payload_crc) {
     return util::Status::ParseError(util::StrPrintf(
@@ -292,34 +283,6 @@ util::Result<std::vector<QueryReply>> DecodeBatchQueryReply(
   return replies;
 }
 
-std::string EncodeStatsRequest(const StatsRequest& request) {
-  // The v1 encoding is the empty payload; a version byte below 2 would
-  // be a second spelling of the same request, so it is never emitted.
-  if (request.version <= kBaseWireVersion) return std::string();
-  util::ByteWriter w;
-  w.WriteU8(request.version);
-  return std::move(w.TakeBuffer());
-}
-
-util::Result<StatsRequest> DecodeStatsRequest(std::string_view payload) {
-  StatsRequest request;
-  if (payload.empty()) return request;  // v1 client
-  util::ByteReader reader(payload, "stats request");
-  GS_RETURN_IF_ERROR(reader.ReadU8(&request.version));
-  if (request.version <= kBaseWireVersion) {
-    // Non-canonical: version 1 is spelled as the empty payload.
-    return util::Status::ParseError(util::StrPrintf(
-        "stats request version byte %u must be >= 2", request.version));
-  }
-  GS_RETURN_IF_ERROR(ExpectExhausted(reader));
-  return request;
-}
-
-uint8_t StatsReplyWireVersion(const StatsReply& reply) {
-  if (reply.work_counters.empty()) return kBaseWireVersion;
-  return reply.has_generation ? kStatsGenerationWireVersion : 2;
-}
-
 std::string EncodeStatsReply(const StatsReply& reply) {
   util::ByteWriter w;
   w.WriteI64(reply.serving.queries);
@@ -334,21 +297,12 @@ std::string EncodeStatsReply(const StatsReply& reply) {
   w.WriteU64(reply.requests_served);
   w.WriteU64(reply.protocol_errors);
   w.WriteU64(reply.retries_sent);
-  // v2 work-counter section. An empty section is encoded as *nothing*
-  // (not a zero count), so the empty reply stays byte-identical to v1
-  // and keeps decoding on old peers.
-  if (!reply.work_counters.empty()) {
-    w.WriteU32(static_cast<uint32_t>(reply.work_counters.size()));
-    for (const auto& [name, value] : reply.work_counters) {
-      w.WriteString(name);
-      w.WriteU64(value);
-    }
-    // v4 catalog-generation trailer. It needs the counter section as a
-    // carrier: without one the reply must stay byte-identical to v1,
-    // and a bare trailing u64 after the fixed fields would be
-    // indistinguishable from a truncated counter section.
-    if (reply.has_generation) w.WriteU64(reply.generation);
+  w.WriteU32(static_cast<uint32_t>(reply.work_counters.size()));
+  for (const auto& [name, value] : reply.work_counters) {
+    w.WriteString(name);
+    w.WriteU64(value);
   }
+  w.WriteU64(reply.generation);
   return std::move(w.TakeBuffer());
 }
 
@@ -367,13 +321,8 @@ util::Result<StatsReply> DecodeStatsReply(std::string_view payload) {
   GS_RETURN_IF_ERROR(reader.ReadU64(&reply.requests_served));
   GS_RETURN_IF_ERROR(reader.ReadU64(&reply.protocol_errors));
   GS_RETURN_IF_ERROR(reader.ReadU64(&reply.retries_sent));
-  if (reader.exhausted()) return reply;  // v1 reply: no counter section
   uint32_t count = 0;
   GS_RETURN_IF_ERROR(reader.ReadU32(&count));
-  if (count == 0) {
-    return util::Status::ParseError(
-        "stats reply counter section present but empty (non-canonical)");
-  }
   // Each entry costs at least 12 bytes (u32 name length + u64 value), so
   // a count the buffer cannot back is rejected before any allocation.
   if (count > reader.remaining() / 12) {
@@ -388,11 +337,7 @@ util::Result<StatsReply> DecodeStatsReply(std::string_view payload) {
     GS_RETURN_IF_ERROR(reader.ReadU64(&value));
     reply.work_counters.emplace_back(std::move(name), value);
   }
-  // v4: bytes after the counter section are the catalog generation.
-  if (!reader.exhausted()) {
-    GS_RETURN_IF_ERROR(reader.ReadU64(&reply.generation));
-    reply.has_generation = true;
-  }
+  GS_RETURN_IF_ERROR(reader.ReadU64(&reply.generation));
   GS_RETURN_IF_ERROR(ExpectExhausted(reader));
   return reply;
 }
@@ -401,7 +346,6 @@ std::string EncodeHealthReply(const HealthReply& reply) {
   util::ByteWriter w;
   w.WriteU8(reply.ok ? 1 : 0);
   w.WriteU8(reply.draining ? 1 : 0);
-  w.WriteU8(reply.wire_version);
   w.WriteU64(reply.num_patterns);
   w.WriteU8(reply.has_classifier ? 1 : 0);
   return std::move(w.TakeBuffer());
@@ -413,7 +357,6 @@ util::Result<HealthReply> DecodeHealthReply(std::string_view payload) {
   uint8_t ok = 0, draining = 0, has_classifier = 0;
   GS_RETURN_IF_ERROR(reader.ReadU8(&ok));
   GS_RETURN_IF_ERROR(reader.ReadU8(&draining));
-  GS_RETURN_IF_ERROR(reader.ReadU8(&reply.wire_version));
   GS_RETURN_IF_ERROR(reader.ReadU64(&reply.num_patterns));
   GS_RETURN_IF_ERROR(reader.ReadU8(&has_classifier));
   if (ok > 1 || draining > 1 || has_classifier > 1) {

@@ -12,25 +12,17 @@
 // Frame layout (header is kFrameHeaderBytes = 16 bytes):
 //
 //   offset 0   u32 magic        0x31575347 ("GSW1" as bytes G S W 1)
-//   offset 4   u8  version      see below; peers reject newer
+//   offset 4   u8  version      always kWireVersion; any other is refused
 //   offset 5   u8  type         MessageType
 //   offset 6   u16 reserved     must be zero
 //   offset 8   u32 payload size (bounded by the decoder's max)
 //   offset 12  u32 payload CRC-32
 //   offset 16  payload bytes
 //
-// Versioning (DESIGN.md §12): kWireVersion is the newest version this
-// build understands; a frame is stamped with the LOWEST version whose
-// decoder understands its payload, so a v1 peer keeps interoperating
-// until someone actually uses a v2 feature. Version history:
-//   v1  original protocol
-//   v2  Stats request may carry a version byte; StatsReply may append a
-//       named work-counter section (obs::MetricsRegistry export)
-//   v3  ApproxQuery/ApproxReply: the sampling tier's estimate-with-
-//       confidence-interval query class (src/approx)
-//   v4  StatsReply may append the served catalog's ingest generation
-//       after the work-counter section, so streaming clients can watch
-//       catalog hot-swaps land (src/stream, DESIGN.md §16)
+// One wire version (DESIGN.md §12): every peer that speaks this protocol
+// is built from this repository, so any change to a payload's bytes
+// bumps kWireVersion and a peer from another build fails at the frame
+// header instead of partway through a payload.
 //
 // Every reply payload is a pure function of the request and the served
 // catalog — server-side latency is deliberately *not* in QueryReply (it
@@ -53,17 +45,8 @@
 namespace graphsig::net::wire {
 
 inline constexpr uint32_t kMagic = 0x31575347;  // "GSW1"
-// Newest protocol version this build speaks (and the oldest that still
-// interoperates: every v1 byte stream is valid v2).
-inline constexpr uint8_t kWireVersion = 4;
-// Version stamped on frames that use no post-v1 feature.
-inline constexpr uint8_t kBaseWireVersion = 1;
-// Version stamped on ApproxQuery/ApproxReply frames: the lowest version
-// whose decoder knows the approx message pair.
-inline constexpr uint8_t kApproxWireVersion = 3;
-// Lowest version whose StatsReply decoder knows the trailing catalog
-// generation field (and whose StatsRequest version byte asks for it).
-inline constexpr uint8_t kStatsGenerationWireVersion = 4;
+// The one protocol version this build speaks, stamped on every frame.
+inline constexpr uint8_t kWireVersion = 5;
 inline constexpr size_t kFrameHeaderBytes = 16;
 // Default cap on one frame's payload; a header announcing more is a
 // protocol error, not an allocation.
@@ -73,15 +56,15 @@ enum class MessageType : uint8_t {
   // Requests (client -> server).
   kQuery = 1,
   kBatchQuery = 2,
-  kStats = 3,
-  kHealth = 4,
-  kApproxQuery = 5,  // wire v3
+  kStats = 3,   // no payload
+  kHealth = 4,  // no payload
+  kApproxQuery = 5,
   // Responses (server -> client); request type + 64.
   kQueryReply = 65,
   kBatchQueryReply = 66,
   kStatsReply = 67,
   kHealthReply = 68,
-  kApproxReply = 69,  // wire v3
+  kApproxReply = 69,
   // Error envelope for a request the server could not serve.
   kError = 96,
   // Backpressure: the admission queue is full; retry after a pause.
@@ -98,16 +81,11 @@ const char* MessageTypeName(MessageType type);
 struct Frame {
   MessageType type = MessageType::kError;
   std::string payload;
-  // Header version the sender stamped (<= kWireVersion once decoded).
-  uint8_t version = kBaseWireVersion;
 };
 
-// Serializes a complete frame (header + payload) ready to write to a
-// socket. `version` must be in [kBaseWireVersion, kWireVersion]; stamp
-// the lowest version able to decode the payload so old peers keep
-// accepting frames that use no new feature.
-std::string EncodeFrame(MessageType type, std::string_view payload,
-                        uint8_t version = kBaseWireVersion);
+// Serializes a complete frame (header + payload), stamped kWireVersion,
+// ready to write to a socket.
+std::string EncodeFrame(MessageType type, std::string_view payload);
 
 // Incremental frame parser for a byte stream. Feed arbitrary chunks
 // with Append(); Next() yields completed frames in order, nullopt when
@@ -169,27 +147,10 @@ struct QueryReply {
   bool operator==(const QueryReply&) const = default;
 };
 
-// Stats request. v1 clients send an empty payload; v2 clients send one
-// version byte asking for the extended reply. The empty encoding IS the
-// v1 encoding, so old servers still accept new clients that ask for v1.
-struct StatsRequest {
-  uint8_t version = kBaseWireVersion;
-
-  bool operator==(const StatsRequest&) const = default;
-};
-
 // Serving counters over the wire: the catalog's cumulative ServingStats
-// snapshot plus the server's own transport counters. Since wire v2 the
-// reply may also carry the server's named deterministic work counters
-// (obs::MetricsRegistry::WorkValues()); `work_counters` stays empty for
-// v1 peers and the encoding of an empty section is byte-identical to
-// v1, so EncodeStatsReply picks the frame version from the value (see
-// StatsReplyWireVersion). Since wire v4 the reply may additionally end
-// with the served catalog's ingest generation; the field rides AFTER
-// the counter section and is only encoded when that section is
-// non-empty (an empty counter section encodes as nothing, which would
-// leave a bare trailing u64 ambiguous), so `has_generation` without
-// counters is silently dropped on the wire.
+// snapshot, the server's own transport counters, its named
+// deterministic work counters (obs::MetricsRegistry::WorkValues()) and
+// the generation of the catalog it is serving.
 struct StatsReply {
   serve::ServingStats serving;
   uint64_t connections_accepted = 0;
@@ -199,28 +160,20 @@ struct StatsReply {
   uint64_t protocol_errors = 0;
   uint64_t retries_sent = 0;
   std::vector<std::pair<std::string, uint64_t>> work_counters;
-  // v4 extension: the generation of the catalog the server is serving
-  // (serve::PatternCatalog::generation(); 0 = batch artifact).
-  bool has_generation = false;
+  // serve::PatternCatalog::generation(); 0 = batch artifact.
   uint64_t generation = 0;
 };
-
-// Lowest frame version able to carry this reply: kBaseWireVersion when
-// work_counters is empty, kStatsGenerationWireVersion when the
-// generation is actually encoded, 2 otherwise. Pass to EncodeFrame.
-uint8_t StatsReplyWireVersion(const StatsReply& reply);
 
 struct HealthReply {
   bool ok = false;
   bool draining = false;
-  uint8_t wire_version = kWireVersion;
   uint64_t num_patterns = 0;
   bool has_classifier = false;
 
   bool operator==(const HealthReply&) const = default;
 };
 
-// Approximate-estimate request (wire v3, src/approx). `mode` is an
+// Approximate-estimate request (src/approx). `mode` is an
 // approx::ApproxMode value: 0 asks for the sampled support of `pattern`
 // in the served database, 1 for its waddling-random-walk embedding
 // count. The RNG seed travels IN the request so the reply stays a pure
@@ -278,9 +231,6 @@ util::Result<QueryReply> DecodeQueryReply(std::string_view payload);
 std::string EncodeBatchQueryReply(const std::vector<QueryReply>& replies);
 util::Result<std::vector<QueryReply>> DecodeBatchQueryReply(
     std::string_view payload);
-
-std::string EncodeStatsRequest(const StatsRequest& request);
-util::Result<StatsRequest> DecodeStatsRequest(std::string_view payload);
 
 std::string EncodeStatsReply(const StatsReply& reply);
 util::Result<StatsReply> DecodeStatsReply(std::string_view payload);

@@ -24,20 +24,6 @@ class WallTimer {
   Clock::time_point start_;
 };
 
-// Accumulates time across repeated start/stop intervals; one per pipeline
-// stage in the GraphSig profiler.
-class StageTimer {
- public:
-  void Start() { running_ = WallTimer(); }
-  void Stop() { total_seconds_ += running_.ElapsedSeconds(); }
-  double total_seconds() const { return total_seconds_; }
-  void Reset() { total_seconds_ = 0.0; }
-
- private:
-  WallTimer running_;
-  double total_seconds_ = 0.0;
-};
-
 }  // namespace graphsig::util
 
 #endif  // GRAPHSIG_UTIL_TIMER_H_

@@ -20,6 +20,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/graphsig.h"
@@ -32,6 +33,7 @@
 #include "serve/catalog_handle.h"
 #include "serve/pattern_catalog.h"
 #include "util/check.h"
+#include "util/status.h"
 
 namespace graphsig::net {
 namespace {
@@ -254,153 +256,65 @@ TEST(WireFrameTest, TruncatedFrameParksAsNeedsMore) {
 }
 
 // ---------------------------------------------------------------------
-// Wire versioning (v2 added the stats work-counter extension). Frames
-// carry the LOWEST version whose decoder understands the payload, so a
-// v1 peer keeps interoperating until someone explicitly asks for v2.
-
-TEST(WireVersionTest, FrameCarriesItsVersion) {
-  const std::string v1 = wire::EncodeFrame(wire::MessageType::kHealth, "x");
-  const std::string v2 =
-      wire::EncodeFrame(wire::MessageType::kStats, "y", /*version=*/2);
-  wire::FrameDecoder decoder;
-  decoder.Append(v1);
-  decoder.Append(v2);
-  auto first = decoder.Next();
-  ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(first.value().has_value());
-  EXPECT_EQ(first.value()->version, wire::kBaseWireVersion);
-  auto second = decoder.Next();
-  ASSERT_TRUE(second.ok());
-  ASSERT_TRUE(second.value().has_value());
-  EXPECT_EQ(second.value()->version, 2);
-}
+// One wire version: every frame carries kWireVersion, and the decoder
+// refuses any other on the header alone, before it reads a payload.
 
 TEST(WireVersionTest, RejectsVersionsOutsideTheSupportedRange) {
-  std::string frame = wire::EncodeFrame(wire::MessageType::kHealth, "ok");
-  {  // Above kWireVersion (a future sender): refuse rather than guess.
-    std::string bad = frame;
-    bad[4] = static_cast<char>(wire::kWireVersion + 1);
+  ASSERT_EQ(wire::kWireVersion, 5);
+  const std::string frame = wire::EncodeFrame(wire::MessageType::kHealth, "");
+  ASSERT_EQ(static_cast<uint8_t>(frame[4]), wire::kWireVersion);
+  // The CRC covers only the payload, so restamping the header byte
+  // leaves the frame otherwise valid. Versions 1 to 4 are what peers
+  // built before version 5 stamped.
+  for (int version = 0; version <= 255; ++version) {
+    std::string stamped = frame;
+    stamped[4] = static_cast<char>(version);
     wire::FrameDecoder decoder;
-    decoder.Append(bad);
-    EXPECT_FALSE(decoder.Next().ok());
+    decoder.Append(stamped);
+    auto next = decoder.Next();
+    if (version == wire::kWireVersion) {
+      ASSERT_TRUE(next.ok()) << next.status().ToString();
+      EXPECT_TRUE(next.value().has_value());
+    } else {
+      EXPECT_FALSE(next.ok()) << "version " << version;
+    }
   }
-  {  // Below kBaseWireVersion: version 0 never existed on this wire.
-    std::string bad = frame;
-    bad[4] = 0;
-    wire::FrameDecoder decoder;
-    decoder.Append(bad);
-    EXPECT_FALSE(decoder.Next().ok());
-  }
-}
-
-TEST(WireVersionTest, StatsRequestEncodesCanonically) {
-  // The v1 request is the empty payload a pre-v2 client sends.
-  wire::StatsRequest v1;
-  EXPECT_EQ(wire::EncodeStatsRequest(v1), "");
-  auto v1_again = wire::DecodeStatsRequest("");
-  ASSERT_TRUE(v1_again.ok());
-  EXPECT_EQ(v1_again.value().version, wire::kBaseWireVersion);
-
-  wire::StatsRequest v2;
-  v2.version = 2;
-  const std::string encoded = wire::EncodeStatsRequest(v2);
-  ASSERT_EQ(encoded.size(), 1u);
-  auto v2_again = wire::DecodeStatsRequest(encoded);
-  ASSERT_TRUE(v2_again.ok());
-  EXPECT_EQ(v2_again.value().version, 2);
-
-  // A spelled-out v1 version byte is non-canonical (v1 is the empty
-  // payload); accepting both spellings would break the fuzzer's
-  // encode(decode(x)) == x pinning.
-  EXPECT_FALSE(wire::DecodeStatsRequest(std::string(1, '\x01')).ok());
-}
-
-TEST(WireVersionTest, StatsReplyBackwardCompatibleDecode) {
-  wire::StatsReply reply;
-  reply.serving.queries = 3;
-  reply.connections_accepted = 1;
-  reply.frames_received = 5;
-  reply.requests_served = 3;
-
-  // Without work counters the encoding IS the v1 payload: an old client
-  // decodes it unchanged, and the frame is stamped v1.
-  EXPECT_EQ(wire::StatsReplyWireVersion(reply), wire::kBaseWireVersion);
-  const std::string v1_bytes = wire::EncodeStatsReply(reply);
-  auto v1_again = wire::DecodeStatsReply(v1_bytes);
-  ASSERT_TRUE(v1_again.ok());
-  EXPECT_TRUE(v1_again.value().work_counters.empty());
-  EXPECT_EQ(v1_again.value().serving.queries, 3);
-
-  reply.work_counters = {{"fvmine/expansions", 42}, {"rwr/float_ops", 7}};
-  EXPECT_EQ(wire::StatsReplyWireVersion(reply), 2);
-  const std::string v2_bytes = wire::EncodeStatsReply(reply);
-  // The v2 encoding extends the v1 payload in place: same prefix, the
-  // counter section appended after it.
-  ASSERT_GT(v2_bytes.size(), v1_bytes.size());
-  EXPECT_EQ(v2_bytes.substr(0, v1_bytes.size()), v1_bytes);
-  auto v2_again = wire::DecodeStatsReply(v2_bytes);
-  ASSERT_TRUE(v2_again.ok());
-  EXPECT_EQ(v2_again.value().work_counters, reply.work_counters);
-
-  // An explicit zero-count section is non-canonical (the canonical
-  // spelling of "no counters" is the bare v1 payload) — reject it.
-  std::string zero_section = v1_bytes + std::string(4, '\0');
-  EXPECT_FALSE(wire::DecodeStatsReply(zero_section).ok());
 }
 
 TEST(WireVersionTest, StatsReplyGenerationTrailer) {
   wire::StatsReply reply;
   reply.requests_served = 3;
-  reply.has_generation = true;
   reply.generation = 42;
 
-  // Without a counter section the generation has no carrier: the
-  // canonical encoding drops it and the frame is stamped v1. (A bare
-  // trailing u64 after the fixed v1 fields would be indistinguishable
-  // from garbage, so the trailer only ever rides behind a non-empty
-  // counter section.)
-  EXPECT_EQ(wire::StatsReplyWireVersion(reply), wire::kBaseWireVersion);
-  auto bare = wire::DecodeStatsReply(wire::EncodeStatsReply(reply));
-  ASSERT_TRUE(bare.ok());
-  EXPECT_FALSE(bare.value().has_generation);
+  // One encoding, always written in full: the 12 fixed 8-byte fields, a
+  // u32 work-counter count (0 allowed), the entries, the u64 generation.
+  constexpr size_t kFixedBytes = 12 * 8;
+  const std::string bare = wire::EncodeStatsReply(reply);
+  ASSERT_EQ(bare.size(), kFixedBytes + 4 + 8);
+  auto bare_again = wire::DecodeStatsReply(bare);
+  ASSERT_TRUE(bare_again.ok()) << bare_again.status().ToString();
+  EXPECT_TRUE(bare_again.value().work_counters.empty());
+  EXPECT_EQ(bare_again.value().generation, 42u);
 
-  // With counters the trailer encodes and the frame is stamped v4.
   reply.work_counters = {{"serve/queries", 3}};
-  EXPECT_EQ(wire::StatsReplyWireVersion(reply),
-            wire::kStatsGenerationWireVersion);
-  const std::string v4_bytes = wire::EncodeStatsReply(reply);
-  auto v4_again = wire::DecodeStatsReply(v4_bytes);
-  ASSERT_TRUE(v4_again.ok()) << v4_again.status().ToString();
-  EXPECT_TRUE(v4_again.value().has_generation);
-  EXPECT_EQ(v4_again.value().generation, 42u);
-  EXPECT_EQ(v4_again.value().work_counters, reply.work_counters);
-
-  // The v4 encoding extends the v2 payload in place: same prefix, the
-  // u64 generation appended after the counter section.
-  wire::StatsReply v2 = reply;
-  v2.has_generation = false;
-  const std::string v2_bytes = wire::EncodeStatsReply(v2);
-  EXPECT_EQ(wire::StatsReplyWireVersion(v2), 2);
-  ASSERT_EQ(v4_bytes.size(), v2_bytes.size() + 8);
-  EXPECT_EQ(v4_bytes.substr(0, v2_bytes.size()), v2_bytes);
+  const std::string full = wire::EncodeStatsReply(reply);
+  auto full_again = wire::DecodeStatsReply(full);
+  ASSERT_TRUE(full_again.ok()) << full_again.status().ToString();
+  EXPECT_EQ(full_again.value().work_counters, reply.work_counters);
+  EXPECT_EQ(full_again.value().generation, 42u);
 
   // Generation zero is a valid stamp (a batch-mined catalog) and must
-  // survive the round trip — absence is signaled by length, not value.
+  // survive the round trip.
   reply.generation = 0;
   auto zero = wire::DecodeStatsReply(wire::EncodeStatsReply(reply));
   ASSERT_TRUE(zero.ok());
-  EXPECT_TRUE(zero.value().has_generation);
   EXPECT_EQ(zero.value().generation, 0u);
 
-  // A partial trailer (1..7 bytes after the counter section) is
-  // corruption, not a shorter version.
-  std::string truncated = v4_bytes;
-  truncated.resize(truncated.size() - 3);
-  EXPECT_FALSE(wire::DecodeStatsReply(truncated).ok());
-  // And bytes beyond the trailer are rejected outright.
-  std::string oversized = v4_bytes;
-  oversized.push_back('\0');
-  EXPECT_FALSE(wire::DecodeStatsReply(oversized).ok());
+  // A payload that stops after the fixed fields (the old v1 shape), a
+  // partial trailer, and bytes beyond the trailer are all rejected.
+  EXPECT_FALSE(wire::DecodeStatsReply(full.substr(0, kFixedBytes)).ok());
+  EXPECT_FALSE(wire::DecodeStatsReply(full.substr(0, full.size() - 3)).ok());
+  EXPECT_FALSE(wire::DecodeStatsReply(full + std::string(1, '\0')).ok());
 }
 
 TEST(WireCodecTest, TypedMessagesRoundTrip) {
@@ -651,7 +565,6 @@ TEST(NetServerTest, StatsAndHealthServeInline) {
   ASSERT_TRUE(health.ok()) << health.status().ToString();
   EXPECT_TRUE(health.value().ok);
   EXPECT_FALSE(health.value().draining);
-  EXPECT_EQ(health.value().wire_version, wire::kWireVersion);
   EXPECT_EQ(health.value().num_patterns, f.catalog->num_patterns());
   EXPECT_EQ(health.value().has_classifier, f.catalog->has_classifier());
 
@@ -662,30 +575,12 @@ TEST(NetServerTest, StatsAndHealthServeInline) {
   EXPECT_GE(stats.value().frames_received, 2u);
   EXPECT_EQ(stats.value().protocol_errors, 0u);
   EXPECT_GE(stats.value().connections_active, 1u);
-}
 
-TEST(NetServerTest, StatsVersionNegotiation) {
-  const Fixture& f = SharedFixture();
-  TestServer server;
-  Client client(MakeClientConfig(server.port()));
-  ASSERT_TRUE(client.Connect().ok());
-  ASSERT_TRUE(client.Query(f.db.graph(0)).ok());
-
-  // A v1 request (what a pre-v2 client puts on the wire) gets the v1
-  // reply shape: no work-counter section, everything else filled in.
-  auto v1 = client.Stats(wire::kBaseWireVersion);
-  ASSERT_TRUE(v1.ok()) << v1.status().ToString();
-  EXPECT_TRUE(v1.value().work_counters.empty());
-  EXPECT_GE(v1.value().requests_served, 1u);
-
-  // The default (v2) request returns the server's named work counters,
-  // including the registry entries this very workload just bumped.
-  auto v2 = client.Stats();
-  ASSERT_TRUE(v2.ok()) << v2.status().ToString();
-  ASSERT_FALSE(v2.value().work_counters.empty());
+  // The reply carries the server's named work counters, including the
+  // registry entries this very workload just bumped.
   uint64_t serve_queries = 0, stats_frames = 0;
   bool saw_queries = false, saw_stats_frames = false;
-  for (const auto& [name, value] : v2.value().work_counters) {
+  for (const auto& [name, value] : stats.value().work_counters) {
     if (name == "serve/queries") {
       serve_queries = value;
       saw_queries = true;
@@ -698,25 +593,33 @@ TEST(NetServerTest, StatsVersionNegotiation) {
   EXPECT_TRUE(saw_queries);
   EXPECT_GE(serve_queries, 1u);
   EXPECT_TRUE(saw_stats_frames);
-  EXPECT_GE(stats_frames, 2u);  // the v1 request above plus this one
+  EXPECT_GE(stats_frames, 1u);
 }
 
 TEST(NetServerTest, StatsReportsActiveGeneration) {
-  TestServer server;
+  {
+    // The shared fixture is a batch-mined artifact: generation 0.
+    TestServer server;
+    Client client(MakeClientConfig(server.port()));
+    ASSERT_TRUE(client.Connect().ok());
+    auto stats = client.Stats();
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_EQ(stats.value().generation, 0u);
+  }
+
+  // A generation-stamped artifact reports its own stamp.
+  model::ModelArtifact artifact = SharedFixture().catalog->artifact();
+  artifact.generation = 9;
+  auto catalog = serve::PatternCatalog::FromArtifact(std::move(artifact));
+  ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
+  serve::CatalogHandle handle(std::make_shared<const serve::PatternCatalog>(
+      std::move(catalog).value()));
+  TestServer server({}, &handle);
   Client client(MakeClientConfig(server.port()));
   ASSERT_TRUE(client.Connect().ok());
-
-  // The default request is v4: the reply carries the active catalog's
-  // generation — 0 here, the shared fixture's batch-mined artifact.
-  auto v4 = client.Stats();
-  ASSERT_TRUE(v4.ok()) << v4.status().ToString();
-  EXPECT_TRUE(v4.value().has_generation);
-  EXPECT_EQ(v4.value().generation, 0u);
-
-  // A v2 client never sees the trailer.
-  auto v2 = client.Stats(2);
-  ASSERT_TRUE(v2.ok()) << v2.status().ToString();
-  EXPECT_FALSE(v2.value().has_generation);
+  auto stats = client.Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats.value().generation, 9u);
 }
 
 // The streaming pipeline's serving contract: a generation swap while
@@ -782,7 +685,7 @@ TEST(NetServerTest, GenerationHotSwapDropsNoQueries) {
         failures[c] = stats.status().ToString();
         return;
       }
-      if (!stats.value().has_generation || stats.value().generation != 2) {
+      if (stats.value().generation != 2) {
         failures[c] = "post-swap stats did not report generation 2";
       }
     });
@@ -810,6 +713,22 @@ TEST(NetServerTest, GenerationHotSwapDropsNoQueries) {
 
 // Writes raw bytes and expects an Error frame followed by EOF — the
 // server's contract for a protocol violation.
+// Reads one server-sent frame from a blocking raw socket: the header
+// first, to learn the payload size at offset 8, then the payload.
+util::Result<wire::Frame> ReadRawFrame(int fd) {
+  std::string header;
+  GS_RETURN_IF_ERROR(ReadExact(fd, wire::kFrameHeaderBytes, &header));
+  uint32_t payload_size = 0;
+  std::memcpy(&payload_size, header.data() + 8, sizeof(payload_size));
+  std::string payload;
+  GS_RETURN_IF_ERROR(ReadExact(fd, payload_size, &payload));
+  wire::FrameDecoder decoder;
+  decoder.Append(header + payload);
+  GS_ASSIGN_OR_RETURN(std::optional<wire::Frame> frame, decoder.Next());
+  if (!frame.has_value()) return util::Status::Internal("incomplete frame");
+  return std::move(*frame);
+}
+
 void ExpectErrorThenClose(uint16_t port, const std::string& bytes) {
   auto socket = ConnectTcp("127.0.0.1", port, 5.0);
   ASSERT_TRUE(socket.ok()) << socket.status().ToString();
@@ -817,23 +736,9 @@ void ExpectErrorThenClose(uint16_t port, const std::string& bytes) {
   ASSERT_TRUE(SetIoTimeout(fd, 10.0).ok());
   ASSERT_TRUE(WriteAll(fd, bytes).ok());
 
-  std::string header;
-  ASSERT_TRUE(ReadExact(fd, wire::kFrameHeaderBytes, &header).ok());
-  wire::FrameDecoder decoder;
-  decoder.Append(header);
-  auto peek = decoder.Next();
-  ASSERT_TRUE(peek.ok());
-  ASSERT_FALSE(peek.value().has_value());  // header only so far
-  // Payload size sits at offset 8 of the (valid, server-sent) header.
-  uint32_t payload_size = 0;
-  std::memcpy(&payload_size, header.data() + 8, sizeof(payload_size));
-  std::string payload;
-  ASSERT_TRUE(ReadExact(fd, payload_size, &payload).ok());
-  decoder.Append(payload);
-  auto frame = decoder.Next();
-  ASSERT_TRUE(frame.ok());
-  ASSERT_TRUE(frame.value().has_value());
-  EXPECT_EQ(frame.value()->type, wire::MessageType::kError);
+  auto frame = ReadRawFrame(fd);
+  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+  EXPECT_EQ(frame.value().type, wire::MessageType::kError);
 
   // Then the server closes: the next read sees EOF, not a hang.
   std::string rest;
@@ -909,6 +814,55 @@ TEST(NetServerTest, MalformedFrameGetsErrorReplyThenClose) {
   EXPECT_EQ(wire::EncodeQueryReply(reply.value()),
             ExpectedReplyBytes(f.db.graph(0)));
   EXPECT_GE(server.server().counters().protocol_errors, errors_before + 1);
+}
+
+TEST(NetServerTest, FrameFromAnotherWireVersionGetsErrorThenClose) {
+  const Fixture& f = SharedFixture();
+  TestServer server;
+
+  // A client built at wire version 4 stamped every Query frame 1. The
+  // server refuses it on the header, counts a protocol error and closes.
+  std::string old_query = wire::EncodeFrame(
+      wire::MessageType::kQuery,
+      wire::EncodeQueryRequest({{}, f.db.graph(0)}));
+  old_query[4] = 1;
+  const uint64_t errors_before = server.server().counters().protocol_errors;
+  ExpectErrorThenClose(server.port(), old_query);
+  EXPECT_EQ(server.server().counters().protocol_errors, errors_before + 1);
+}
+
+TEST(NetServerTest, InlineRequestWithPayloadGetsParseErrorAndStaysOpen) {
+  TestServer server;
+  auto socket = ConnectTcp("127.0.0.1", server.port(), 5.0);
+  ASSERT_TRUE(socket.ok()) << socket.status().ToString();
+  const int fd = socket.value().fd();
+  ASSERT_TRUE(SetIoTimeout(fd, 10.0).ok());
+
+  // The byte 0x04 is the Stats request a version-4 client sent; Health
+  // never had a payload.
+  const std::pair<wire::MessageType, std::string> malformed[] = {
+      {wire::MessageType::kStats, std::string(1, '\x04')},
+      {wire::MessageType::kHealth, std::string(1, '\0')}};
+  for (const auto& [type, payload] : malformed) {
+    SCOPED_TRACE(wire::MessageTypeName(type));
+    ASSERT_TRUE(WriteAll(fd, wire::EncodeFrame(type, payload)).ok());
+    auto error = ReadRawFrame(fd);
+    ASSERT_TRUE(error.ok()) << error.status().ToString();
+    ASSERT_EQ(error.value().type, wire::MessageType::kError);
+    auto decoded = wire::DecodeErrorReply(error.value().payload);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(decoded.value().code, util::StatusCode::kParseError);
+
+    // The same connection still answers a plain Health.
+    ASSERT_TRUE(
+        WriteAll(fd, wire::EncodeFrame(wire::MessageType::kHealth, "")).ok());
+    auto health = ReadRawFrame(fd);
+    ASSERT_TRUE(health.ok()) << health.status().ToString();
+    EXPECT_EQ(health.value().type, wire::MessageType::kHealthReply);
+  }
+  // A bad payload is a request error, not a protocol error: the frame
+  // stream is still in sync.
+  EXPECT_EQ(server.server().counters().protocol_errors, 0u);
 }
 
 TEST(NetServerTest, OversizedFrameAnnouncementIsRejected) {
@@ -999,24 +953,15 @@ TEST(NetServerTest, DrainFlushesInflightRepliesBeforeExit) {
   }
   server.server().RequestShutdown();
 
-  // Read replies frame by frame: header first (to learn the size), then
-  // the payload. The socket is blocking with a generous timeout.
+  // Read replies frame by frame; the socket is blocking with a generous
+  // timeout.
   int replies = 0;
   for (; replies < kBurst; ++replies) {
-    std::string header;
-    ASSERT_TRUE(ReadExact(fd, wire::kFrameHeaderBytes, &header).ok())
-        << "connection died after " << replies << " replies";
-    uint32_t payload_size = 0;
-    std::memcpy(&payload_size, header.data() + 8, sizeof(payload_size));
-    std::string payload;
-    ASSERT_TRUE(ReadExact(fd, payload_size, &payload).ok());
-    wire::FrameDecoder decoder;
-    decoder.Append(header + payload);
-    auto frame = decoder.Next();
-    ASSERT_TRUE(frame.ok());
-    ASSERT_TRUE(frame.value().has_value());
-    ASSERT_EQ(frame.value()->type, wire::MessageType::kQueryReply);
-    auto decoded = wire::DecodeQueryReply(frame.value()->payload);
+    auto frame = ReadRawFrame(fd);
+    ASSERT_TRUE(frame.ok()) << "connection died after " << replies
+                            << " replies: " << frame.status().ToString();
+    ASSERT_EQ(frame.value().type, wire::MessageType::kQueryReply);
+    auto decoded = wire::DecodeQueryReply(frame.value().payload);
     ASSERT_TRUE(decoded.ok());
     EXPECT_EQ(wire::EncodeQueryReply(decoded.value()),
               ExpectedReplyBytes(

@@ -26,22 +26,6 @@ TEST(TimerTest, MeasuresElapsedTime) {
   EXPECT_LT(timer.ElapsedSeconds(), 0.015);
 }
 
-TEST(TimerTest, StageTimerAccumulates) {
-  util::StageTimer stage;
-  EXPECT_EQ(stage.total_seconds(), 0.0);
-  stage.Start();
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  stage.Stop();
-  const double first = stage.total_seconds();
-  EXPECT_GT(first, 0.0);
-  stage.Start();
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  stage.Stop();
-  EXPECT_GT(stage.total_seconds(), first);
-  stage.Reset();
-  EXPECT_EQ(stage.total_seconds(), 0.0);
-}
-
 TEST(LoggingTest, LevelFilterRoundTrips) {
   const util::LogLevel before = util::GetLogLevel();
   util::SetLogLevel(util::LogLevel::kError);

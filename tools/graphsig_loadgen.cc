@@ -14,16 +14,22 @@
 //                    [--metrics-out=FILE]
 //
 // --mix=F sends fraction F of the schedule as ApproxQuery requests (the
-// sampling tier's second query class, wire v3) instead of exact Query
-// requests; which slots go approx — and each approx request's estimator
-// seed — is part of the seeded schedule, so the blended request stream
-// replays exactly. Latency accounting is kept per query class: the JSON
+// sampling tier's second query class) instead of exact Query requests;
+// which slots go approx — and each approx request's estimator seed — is
+// part of the seeded schedule, so the blended request stream replays
+// exactly. Latency accounting is kept per query class: the JSON
 // reports separate exact/approx histograms, never a blended one.
 //
 // --verify-model loads the same artifact the server serves and checks
 // every reply byte-for-byte against an in-process PatternCatalog — the
 // wire protocol's determinism guarantee, enforced end to end for both
 // query classes.
+//
+// The numeric flags are range-checked before any input is read:
+// --port in [1, 65535], --qps and --duration > 0, --connections >= 1,
+// --count and --seed >= 0, --mix in [0, 1] and --approx-samples in
+// [1, serve::kMaxApproxSamplesPerQuery]. A bad value, or one that does
+// not parse, exits 1 naming the flag.
 //
 // Exit status is 0 only if every request got a well-formed reply (server
 // RETRY_LATER backpressure is counted separately and tolerated) and no
@@ -34,6 +40,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -135,8 +143,7 @@ int main(int argc, char** argv) {
   tools::Flags flags(argc, argv);
   tools::InstallSignalGuard();
   const std::string input = flags.GetString("input", "");
-  const int64_t port = flags.GetInt("port", 0);
-  if (input.empty() || port <= 0 || port > 65535) {
+  if (input.empty() || !flags.Has("port")) {
     std::fprintf(stderr,
                  "usage: graphsig_loadgen --port=N --input=FILE "
                  "[--host=ADDR] [--format=smiles|sdf|gspan] [--qps=200] "
@@ -147,6 +154,33 @@ int main(int argc, char** argv) {
                  "[--metrics-out=FILE]\n");
     return 1;
   }
+  constexpr int64_t kInt64Max = std::numeric_limits<int64_t>::max();
+  constexpr double kDoubleMax = std::numeric_limits<double>::max();
+  const auto port = tools::FlagInRange<int64_t>(flags, "port", 0, 1, 65535);
+  const auto qps = tools::FlagInRange(flags, "qps", 200.0, 0.0, kDoubleMax,
+                                      /*lo_open=*/true);
+  const auto duration = tools::FlagInRange(flags, "duration", 2.0, 0.0,
+                                           kDoubleMax, /*lo_open=*/true);
+  const auto connections = tools::FlagInRange<int64_t>(
+      flags, "connections", 1, 1, std::numeric_limits<int>::max());
+  const auto count =
+      tools::FlagInRange<int64_t>(flags, "count", 0, 0, kInt64Max);
+  const auto seed = tools::FlagInRange<int64_t>(flags, "seed", 1, 0, kInt64Max);
+  const auto mix = tools::FlagInRange(flags, "mix", 0.0, 0.0, 1.0);
+  const auto approx_samples = tools::FlagInRange<int64_t>(
+      flags, "approx-samples", 32, 1, serve::kMaxApproxSamplesPerQuery);
+  if (!port || !qps || !duration || !connections || !count || !seed ||
+      !mix || !approx_samples) {
+    return 1;
+  }
+  // --count=0 sends qps x duration requests.
+  const double scheduled = std::ceil(*qps * *duration);
+  if (*count == 0 && !(scheduled < static_cast<double>(kInt64Max))) {
+    std::fprintf(stderr, "error: --qps x --duration is too many requests\n");
+    return 1;
+  }
+  const int64_t total =
+      *count > 0 ? *count : static_cast<int64_t>(scheduled);
 
   auto loaded = tools::LoadDatabase(input, flags.GetString("format", "smiles"));
   if (!loaded.ok()) tools::Fail(loaded.status());
@@ -156,33 +190,9 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const double qps = flags.GetDouble("qps", 200.0);
-  const double duration = flags.GetDouble("duration", 2.0);
-  const int connections =
-      static_cast<int>(std::max<int64_t>(1, flags.GetInt("connections", 1)));
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
-  int64_t total = flags.GetInt("count", 0);
-  if (total <= 0) total = static_cast<int64_t>(std::ceil(qps * duration));
-  if (qps <= 0.0 || total <= 0) {
-    std::fprintf(stderr, "error: need positive --qps and a nonzero workload\n");
-    return 1;
-  }
-
   wire::QueryOptions options;
   options.compute_matches = !flags.GetBool("no-matches");
   options.compute_score = !flags.GetBool("no-score");
-
-  const double mix = flags.GetDouble("mix", 0.0);
-  if (mix < 0.0 || mix > 1.0) {
-    std::fprintf(stderr, "error: --mix must be in [0, 1]\n");
-    return 1;
-  }
-  const int32_t approx_samples =
-      static_cast<int32_t>(flags.GetInt("approx-samples", 32));
-  if (approx_samples <= 0) {
-    std::fprintf(stderr, "error: --approx-samples must be positive\n");
-    return 1;
-  }
 
   // The whole workload — which graph each request sends, which class it
   // belongs to, each approx request's estimator seed, and when it goes
@@ -191,13 +201,13 @@ int main(int argc, char** argv) {
   // the same request stream. Every slot draws the same THREE values
   // whether or not it ends up approx, so changing --mix never shifts a
   // later request's pick.
-  util::Rng rng(seed);
+  util::Rng rng(static_cast<uint64_t>(*seed));
   std::vector<size_t> picks(static_cast<size_t>(total));
   std::vector<uint8_t> approx_slot(static_cast<size_t>(total), 0);
   std::vector<uint64_t> approx_seeds(static_cast<size_t>(total), 0);
   for (size_t i = 0; i < picks.size(); ++i) {
     picks[i] = static_cast<size_t>(rng.NextBounded(db.size()));
-    approx_slot[i] = rng.NextBernoulli(mix) ? 1 : 0;
+    approx_slot[i] = rng.NextBernoulli(*mix) ? 1 : 0;
     approx_seeds[i] = rng.NextU64();
   }
 
@@ -205,7 +215,7 @@ int main(int argc, char** argv) {
     wire::ApproxRequest request;
     request.mode = static_cast<uint8_t>(approx::ApproxMode::kSupport);
     request.seed = approx_seeds[i];
-    request.samples = static_cast<uint32_t>(approx_samples);
+    request.samples = static_cast<uint32_t>(*approx_samples);
     request.confidence = 0.95;
     request.pattern = db.graph(picks[i]);
     return request;
@@ -258,15 +268,15 @@ int main(int argc, char** argv) {
 
   net::ClientConfig client_config;
   client_config.host = flags.GetString("host", "127.0.0.1");
-  client_config.port = static_cast<uint16_t>(port);
+  client_config.port = static_cast<uint16_t>(*port);
 
   // Request i goes out at i/qps seconds on connection i % connections.
   // One shared wall timer anchors every thread's schedule.
-  std::vector<WorkerResult> results(static_cast<size_t>(connections));
+  std::vector<WorkerResult> results(static_cast<size_t>(*connections));
   util::WallTimer clock;
   std::vector<std::thread> workers;
-  workers.reserve(static_cast<size_t>(connections));
-  for (int c = 0; c < connections; ++c) {
+  workers.reserve(static_cast<size_t>(*connections));
+  for (int64_t c = 0; c < *connections; ++c) {
     workers.emplace_back([&, c] {
       WorkerResult& out = results[static_cast<size_t>(c)];
       net::Client client(client_config);
@@ -276,8 +286,8 @@ int main(int argc, char** argv) {
         out.first_error = connected.ToString();
         return;
       }
-      for (int64_t i = c; i < total; i += connections) {
-        const double send_at = static_cast<double>(i) / qps;
+      for (int64_t i = c; i < total; i += *connections) {
+        const double send_at = static_cast<double>(i) / *qps;
         const double wait = send_at - clock.ElapsedSeconds();
         if (wait > 0.0) {
           std::this_thread::sleep_for(std::chrono::duration<double>(wait));
@@ -362,9 +372,8 @@ int main(int argc, char** argv) {
 
   // One Stats RPC after the run: the server's own view of the workload
   // (its protocol_errors counter is what CI asserts to be zero). The
-  // default Stats() asks for the v2 reply, so the server's named work
-  // counters ride along; the smoke test cross-checks them against the
-  // client-side totals above.
+  // server's named work counters ride along; the smoke test
+  // cross-checks them against the client-side totals above.
   wire::StatsReply server_stats;
   bool have_stats = false;
   {
@@ -381,10 +390,11 @@ int main(int argc, char** argv) {
   const uint64_t server_requests = server_stats.requests_served;
 
   std::fprintf(stderr,
-               "offered %lld requests at %.0f QPS over %d connections in "
+               "offered %lld requests at %.0f QPS over %lld connections in "
                "%.2fs: %lld ok (%lld exact, %lld approx), %lld "
                "retry-later, %lld errors, %lld verify mismatches\n",
-               static_cast<long long>(total), qps, connections, wall_seconds,
+               static_cast<long long>(total), *qps,
+               static_cast<long long>(*connections), wall_seconds,
                static_cast<long long>(ok),
                static_cast<long long>(exact_tally.ok),
                static_cast<long long>(approx_tally.ok),
@@ -421,10 +431,11 @@ int main(int argc, char** argv) {
     std::string json = "{\n";
     json += util::StrPrintf(
         "  \"config\": {\"qps\": %.1f, \"duration_s\": %.2f, "
-        "\"connections\": %d, \"seed\": %llu, \"count\": %lld, "
-        "\"mix\": %.3f, \"approx_samples\": %d, \"verify\": %s},\n",
-        qps, duration, connections, static_cast<unsigned long long>(seed),
-        static_cast<long long>(total), mix, approx_samples,
+        "\"connections\": %lld, \"seed\": %llu, \"count\": %lld, "
+        "\"mix\": %.3f, \"approx_samples\": %lld, \"verify\": %s},\n",
+        *qps, *duration, static_cast<long long>(*connections),
+        static_cast<unsigned long long>(*seed), static_cast<long long>(total),
+        *mix, static_cast<long long>(*approx_samples),
         verify ? "true" : "false");
     json += util::StrPrintf(
         "  \"totals\": {\"ok\": %lld, \"ok_exact\": %lld, \"ok_approx\": "
@@ -444,7 +455,6 @@ int main(int argc, char** argv) {
     json += LatencySummaryJson(approx_tally.latencies);
     json += "},\n";
     if (have_stats) {
-      // generation arrives via the v4 Stats trailer.
       json += util::StrPrintf(
           "  \"server\": {\"requests_served\": %llu, \"protocol_errors\": "
           "%llu, \"frames_received\": %llu, \"retries_sent\": %llu, "

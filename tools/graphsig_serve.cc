@@ -4,17 +4,17 @@
 // decoded requests onto the shared thread pool.
 //
 //   graphsig_serve --model=model.gsig [--host=127.0.0.1] [--port=7117]
-//                  [--batch-threads=0 (auto)] [--max-inflight=64]
-//                  [--max-frame-mb=16] [--drain-timeout=5]
+//                  [--max-inflight=64] [--max-frame-mb=16] [--drain-timeout=5]
 //                  [--stats-log-period=0 (seconds; 0 = off)]
 //                  [--reload-period=0 (seconds; 0 = SIGHUP only)]
 //                  [--metrics-out=FILE (dumped after drain)]
 //
 // --port=0 binds an ephemeral port; the actual port is printed on the
 // "listening on" line (stdout, flushed) so scripts can scrape it.
-// --port must lie in [0, 65535], --max-inflight must be >= 1 and
-// --max-frame-mb in [1, 4095]; anything else (including a value that
-// is not an integer) exits 1 naming the flag.
+// --port must lie in [0, 65535], --max-inflight must be >= 1,
+// --max-frame-mb in [1, 4095], and --drain-timeout, --stats-log-period
+// and --reload-period in [0, 86400] seconds; anything else (including a
+// value that does not parse) exits 1 naming the flag.
 //
 // The catalog is held behind a serve::CatalogHandle, so a running
 // server can hot-swap to a newer artifact generation (the streaming
@@ -104,8 +104,7 @@ int main(int argc, char** argv) {
   if (model_path.empty()) {
     std::fprintf(stderr,
                  "usage: graphsig_serve --model=FILE [--host=ADDR] "
-                 "[--port=N (0 = ephemeral)] "
-                 "[--batch-threads=N (0 = auto)] [--max-inflight=N] "
+                 "[--port=N (0 = ephemeral)] [--max-inflight=N] "
                  "[--max-frame-mb=N] [--drain-timeout=SECONDS] "
                  "[--stats-log-period=SECONDS] [--reload-period=SECONDS] "
                  "[--metrics-out=FILE]\n");
@@ -122,7 +121,21 @@ int main(int argc, char** argv) {
   // larger cap would never bind.
   const std::optional<int64_t> max_frame_mb =
       tools::FlagInRange<int64_t>(flags, "max-frame-mb", 16, 1, 4095);
-  if (!port || !max_inflight || !max_frame_mb) return 1;
+  // A day at most: the serve loop wakes every half stats period, in
+  // whole milliseconds held in an int.
+  constexpr double kMaxPeriodSeconds = 86400.0;
+  const std::optional<double> drain_timeout = tools::FlagInRange(
+      flags, "drain-timeout", config.drain_timeout_seconds, 0.0,
+      kMaxPeriodSeconds);
+  const std::optional<double> stats_log_period = tools::FlagInRange(
+      flags, "stats-log-period", config.stats_log_period_seconds, 0.0,
+      kMaxPeriodSeconds);
+  const std::optional<double> reload_period = tools::FlagInRange(
+      flags, "reload-period", 0.0, 0.0, kMaxPeriodSeconds);
+  if (!port || !max_inflight || !max_frame_mb || !drain_timeout ||
+      !stats_log_period || !reload_period) {
+    return 1;
+  }
 
   util::WallTimer load_timer;
   auto loaded = serve::PatternCatalog::LoadFromFile(model_path);
@@ -140,15 +153,10 @@ int main(int argc, char** argv) {
 
   config.host = flags.GetString("host", config.host);
   config.port = static_cast<uint16_t>(*port);
-  config.batch_threads =
-      tools::ResolveThreads(flags.GetInt("batch-threads", 0));
   config.max_inflight_requests = static_cast<size_t>(*max_inflight);
   config.max_frame_bytes = static_cast<size_t>(*max_frame_mb) << 20;
-  config.drain_timeout_seconds =
-      flags.GetDouble("drain-timeout", config.drain_timeout_seconds);
-  config.stats_log_period_seconds =
-      flags.GetDouble("stats-log-period", config.stats_log_period_seconds);
-  const double reload_period = flags.GetDouble("reload-period", 0.0);
+  config.drain_timeout_seconds = *drain_timeout;
+  config.stats_log_period_seconds = *stats_log_period;
 
   net::Server server(&handle, config);
   util::Status started = server.Start();
@@ -177,7 +185,7 @@ int main(int argc, char** argv) {
       since_poll += 0.1;
       bool want_reload =
           g_reload_requested.exchange(false, std::memory_order_acq_rel);
-      if (reload_period > 0 && since_poll >= reload_period) {
+      if (*reload_period > 0 && since_poll >= *reload_period) {
         since_poll = 0.0;
         const int64_t mtime = FileMtimeNs(model_path);
         if (mtime != 0 && mtime != last_mtime) {

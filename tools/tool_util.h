@@ -178,8 +178,9 @@ std::optional<T> FlagInRange(const Flags& flags, const std::string& name,
   }
   const char* kind = std::is_integral_v<T> ? "an integer" : "a number";
   if (hi == std::numeric_limits<T>::max()) {
-    std::fprintf(stderr, "--%s must be %s >= %.15g, got '%s'\n",
-                 name.c_str(), kind, static_cast<double>(lo), raw.c_str());
+    std::fprintf(stderr, "--%s must be %s %s %.15g, got '%s'\n",
+                 name.c_str(), kind, lo_open ? ">" : ">=",
+                 static_cast<double>(lo), raw.c_str());
   } else {
     std::fprintf(stderr, "--%s must be %s in %c%.15g, %.15g], got '%s'\n",
                  name.c_str(), kind, lo_open ? '(' : '[',
