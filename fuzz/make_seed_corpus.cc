@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "classify/sig_knn.h"
 #include "data/datasets.h"
 #include "data/molfile.h"
 #include "data/smiles.h"
@@ -83,8 +84,9 @@ int main(int argc, char** argv) {
   }
 
   // artifact: a full valid artifact (database + feature space + small
-  // catalog, no classifier) and a minimal empty one. Valid CRCs let the
-  // fuzzer's mutations reach the section decoders.
+  // catalog, no classifier), the same with a hand-built classifier, and
+  // a minimal empty one. Valid CRCs let the fuzzer's mutations reach the
+  // section decoders.
   {
     graphsig::model::ModelArtifact artifact;
     artifact.database = db;
@@ -100,6 +102,24 @@ int main(int argc, char** argv) {
     sg.set_support = 2;
     artifact.catalog.push_back(sg);
     WriteFileOrDie(root / "artifact" / "artifact_small.gsig",
+                   graphsig::model::EncodeArtifact(artifact));
+
+    // The classifier section over the artifact's feature space: a few
+    // sparse sub-vectors per class, in [0, bins] like Discretize's
+    // output, and an all-zero negative that every node vector dominates.
+    graphsig::classify::SigKnnModel& model = artifact.classifier;
+    model.k = 3;
+    model.space = artifact.feature_space;
+    const size_t width = model.space.size();
+    for (size_t i = 0; i < 3; ++i) {
+      graphsig::features::FeatureVec pos(width, 0), neg(width, 0);
+      pos[i % width] = static_cast<int16_t>(i + 1);
+      neg[(i + 1) % width] = static_cast<int16_t>(2 * i + 1);
+      model.positive.push_back(pos);
+      model.negative.push_back(neg);
+    }
+    model.negative.push_back(graphsig::features::FeatureVec(width, 0));
+    WriteFileOrDie(root / "artifact" / "artifact_classifier.gsig",
                    graphsig::model::EncodeArtifact(artifact));
   }
   {

@@ -1,9 +1,11 @@
 #include "classify/sig_knn.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <queue>
+#include <utility>
 
 #include "features/rwr.h"
 #include "util/check.h"
@@ -29,6 +31,79 @@ double MinDistToSubVector(const features::FeatureVec& x,
   return best;
 }
 
+SubVectorIndex::SubVectorIndex(
+    const std::vector<features::FeatureVec>& vectors) {
+  if (vectors.empty()) return;
+  width_ = vectors.front().size();
+  words_ = (width_ + 63) / 64;
+  std::vector<std::pair<int64_t, const features::FeatureVec*>> rows;
+  rows.reserve(vectors.size());
+  for (const features::FeatureVec& v : vectors) {
+    GS_CHECK_EQ(v.size(), width_);
+    int64_t sum = 0;
+    for (int16_t slot : v) sum += slot;
+    rows.emplace_back(sum, &v);
+  }
+  // Sum descending, equal sums in lexicographic order; duplicates end up
+  // adjacent and only the first is kept.
+  std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
+    if (a.first != b.first) return a.first > b.first;
+    return *a.second < *b.second;
+  });
+  rows.erase(std::unique(rows.begin(), rows.end(),
+                         [](const auto& a, const auto& b) {
+                           return *a.second == *b.second;
+                         }),
+             rows.end());
+  sums_.reserve(rows.size());
+  masks_.assign(rows.size() * words_, 0);
+  slots_.reserve(rows.size() * width_);
+  for (size_t r = 0; r < rows.size(); ++r) {
+    const features::FeatureVec& v = *rows[r].second;
+    sums_.push_back(rows[r].first);
+    slots_.insert(slots_.end(), v.begin(), v.end());
+    uint64_t* mask = masks_.data() + r * words_;
+    for (size_t s = 0; s < width_; ++s) {
+      if (v[s] > 0) mask[s / 64] |= uint64_t{1} << (s % 64);
+    }
+  }
+}
+
+double SubVectorIndex::MinDist(const features::FeatureVec& x) const {
+  constexpr double kNone = std::numeric_limits<double>::infinity();
+  if (sums_.empty()) return kNone;
+  GS_CHECK_EQ(x.size(), width_);
+  // x's sum and positive-slot mask; masks of up to 256 slots stay on the
+  // stack.
+  std::array<uint64_t, 4> small_mask{};
+  std::vector<uint64_t> large_mask;
+  uint64_t* x_mask = small_mask.data();
+  if (words_ > small_mask.size()) {
+    large_mask.assign(words_, 0);
+    x_mask = large_mask.data();
+  }
+  int64_t x_sum = 0;
+  for (size_t s = 0; s < width_; ++s) {
+    x_sum += x[s];
+    if (x[s] > 0) x_mask[s / 64] |= uint64_t{1} << (s % 64);
+  }
+  const size_t first = static_cast<size_t>(
+      std::partition_point(sums_.begin(), sums_.end(),
+                           [x_sum](int64_t sum) { return sum > x_sum; }) -
+      sums_.begin());
+  for (size_t r = first; r < sums_.size(); ++r) {
+    const uint64_t* mask = masks_.data() + r * words_;
+    size_t w = 0;
+    while (w < words_ && (mask[w] & ~x_mask[w]) == 0) ++w;
+    if (w < words_) continue;
+    const int16_t* row = slots_.data() + r * width_;
+    size_t s = 0;
+    while (s < width_ && row[s] <= x[s]) ++s;
+    if (s == width_) return static_cast<double>(x_sum - sums_[r]);
+  }
+  return kNone;
+}
+
 void GraphSigClassifier::Train(const graph::GraphDatabase& training) {
   graph::GraphDatabase positives = training.FilterByTag(1);
   graph::GraphDatabase negatives = training.FilterByTag(0);
@@ -50,8 +125,8 @@ void GraphSigClassifier::Train(const graph::GraphDatabase& training) {
        miner.MineSignificantVectors(negatives, nullptr, &space_)) {
     negative_.push_back(sv.vector);
   }
-  positive_index_ = BuildIndex(positive_);
-  negative_index_ = BuildIndex(negative_);
+  positive_index_ = SubVectorIndex(positive_);
+  negative_index_ = SubVectorIndex(negative_);
 }
 
 SigKnnModel GraphSigClassifier::ExportModel() const {
@@ -75,51 +150,9 @@ GraphSigClassifier GraphSigClassifier::FromModel(const SigKnnModel& model) {
   classifier.space_ = model.space;
   classifier.positive_ = model.positive;
   classifier.negative_ = model.negative;
-  classifier.positive_index_ = BuildIndex(model.positive);
-  classifier.negative_index_ = BuildIndex(model.negative);
+  classifier.positive_index_ = SubVectorIndex(model.positive);
+  classifier.negative_index_ = SubVectorIndex(model.negative);
   return classifier;
-}
-
-GraphSigClassifier::VectorIndex GraphSigClassifier::BuildIndex(
-    std::vector<features::FeatureVec> vectors) {
-  std::sort(vectors.begin(), vectors.end());
-  vectors.erase(std::unique(vectors.begin(), vectors.end()), vectors.end());
-  std::stable_sort(vectors.begin(), vectors.end(),
-                   [](const features::FeatureVec& a,
-                      const features::FeatureVec& b) {
-                     int32_t sa = 0, sb = 0;
-                     for (int16_t v : a) sa += v;
-                     for (int16_t v : b) sb += v;
-                     return sa > sb;
-                   });
-  VectorIndex index;
-  index.sums.reserve(vectors.size());
-  for (const features::FeatureVec& v : vectors) {
-    int32_t sum = 0;
-    for (int16_t x : v) sum += x;
-    index.sums.push_back(sum);
-  }
-  index.vectors = std::move(vectors);
-  return index;
-}
-
-double GraphSigClassifier::MinDistIndexed(const features::FeatureVec& x,
-                                          const VectorIndex& index) {
-  int32_t x_sum = 0;
-  for (int16_t v : x) x_sum += v;
-  for (size_t i = 0; i < index.vectors.size(); ++i) {
-    if (index.sums[i] > x_sum) continue;  // cannot be a sub-vector
-    const features::FeatureVec& v = index.vectors[i];
-    bool sub = true;
-    for (size_t s = 0; s < v.size(); ++s) {
-      if (v[s] > x[s]) {
-        sub = false;
-        break;
-      }
-    }
-    if (sub) return static_cast<double>(x_sum - index.sums[i]);
-  }
-  return std::numeric_limits<double>::infinity();
 }
 
 double GraphSigClassifier::Score(const graph::Graph& query) const {
@@ -131,8 +164,8 @@ double GraphSigClassifier::Score(const graph::Graph& query) const {
   using Entry = std::pair<double, int>;  // distance, +1 / -1
   std::priority_queue<Entry> heap;
   for (const features::NodeVector& nv : node_vectors) {
-    const double pos_dist = MinDistIndexed(nv.values, positive_index_);
-    const double neg_dist = MinDistIndexed(nv.values, negative_index_);
+    const double pos_dist = positive_index_.MinDist(nv.values);
+    const double neg_dist = negative_index_.MinDist(nv.values);
     if (std::isinf(pos_dist) && std::isinf(neg_dist)) continue;
     Entry entry = neg_dist < pos_dist ? Entry{neg_dist, -1}
                                       : Entry{pos_dist, +1};

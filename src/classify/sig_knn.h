@@ -1,6 +1,8 @@
 #ifndef GRAPHSIG_CLASSIFY_SIG_KNN_H_
 #define GRAPHSIG_CLASSIFY_SIG_KNN_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "classify/classifier.h"
@@ -15,6 +17,37 @@ namespace graphsig::classify {
 // infinity. Returns infinity when no member is a sub-vector of x.
 double MinDistToSubVector(const features::FeatureVec& x,
                           const std::vector<features::FeatureVec>& set);
+
+// Algorithm 4 over a fixed vector set, indexed for the k-NN scan. The
+// distinct vectors are kept in descending slot-sum order. For any
+// sub-vector v of x, dist(x, v) = sum(x) - sum(v), so the first
+// sub-vector in that order is the closest and the scan stops there.
+// Two necessary conditions for v ⊆ x skip rows without a slot compare:
+//   * sum(v) <= sum(x): a binary search starts the scan at the first
+//     such row instead of walking the prefix of larger sums;
+//   * every slot > 0 in v is > 0 in x (v_s > 0 and v_s <= x_s give
+//     x_s > 0): a positive-slot bitmask per row, ceil(width / 64) words,
+//     must be a subset of x's before the slots are compared.
+// Neither test rejects a true sub-vector, whatever the slot signs, so
+// the answer is that of the brute-force scan.
+class SubVectorIndex {
+ public:
+  SubVectorIndex() = default;
+  // All vectors must have the same width.
+  explicit SubVectorIndex(const std::vector<features::FeatureVec>& vectors);
+
+  // Equal, bit for bit, to MinDistToSubVector(x, vectors) over the
+  // vectors the index was built from, +inf included. When the index is
+  // non-empty, x must have the index's width.
+  double MinDist(const features::FeatureVec& x) const;
+
+ private:
+  size_t width_ = 0;
+  size_t words_ = 0;             // mask words per row: ceil(width / 64)
+  std::vector<int64_t> sums_;    // one per row, descending
+  std::vector<uint64_t> masks_;  // words_ per row; bit s iff slot s > 0
+  std::vector<int16_t> slots_;   // width_ per row, row-major
+};
 
 struct SigKnnConfig {
   // Feature-phase thresholds used to mine the significant vectors from
@@ -57,9 +90,10 @@ class GraphSigClassifier : public GraphClassifier {
   // Snapshot of the trained state for serialization. Requires a trained
   // (or imported) classifier.
   SigKnnModel ExportModel() const;
-  // Rebuilds a ready-to-score classifier from a snapshot; the scan
-  // indexes are reconstructed, so FromModel(ExportModel()) scores
-  // identically to the original.
+  // Rebuilds a ready-to-score classifier from a snapshot; the
+  // SubVectorIndexes are reconstructed, so FromModel(ExportModel())
+  // scores identically to the original. Every model vector must have
+  // the space's width (DecodeArtifact rejects a model that does not).
   static GraphSigClassifier FromModel(const SigKnnModel& model);
 
   const features::FeatureSpace& feature_space() const { return space_; }
@@ -71,24 +105,12 @@ class GraphSigClassifier : public GraphClassifier {
   }
 
  private:
-  // Distinct vectors sorted by slot-sum descending plus their sums. For
-  // any sub-vector v of x, dist(x, v) = sum(x) - sum(v), so the first
-  // sub-vector found in descending-sum order is the closest — the scan
-  // exits early instead of touching every training vector.
-  struct VectorIndex {
-    std::vector<features::FeatureVec> vectors;  // sum-descending
-    std::vector<int32_t> sums;
-  };
-  static VectorIndex BuildIndex(std::vector<features::FeatureVec> vectors);
-  static double MinDistIndexed(const features::FeatureVec& x,
-                               const VectorIndex& index);
-
   SigKnnConfig config_;
   features::FeatureSpace space_;
   std::vector<features::FeatureVec> positive_;
   std::vector<features::FeatureVec> negative_;
-  VectorIndex positive_index_;
-  VectorIndex negative_index_;
+  SubVectorIndex positive_index_;
+  SubVectorIndex negative_index_;
 };
 
 }  // namespace graphsig::classify

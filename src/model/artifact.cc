@@ -1,5 +1,6 @@
 #include "model/artifact.h"
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -177,6 +178,42 @@ Status DecodeVectorSet(ByteReader* r,
   return Status::Ok();
 }
 
+// GraphSigClassifier::Score aborts on a value it cannot run with (RWR's
+// and Discretize's checks) or reads out of bounds on a vector wider than
+// the query's, so the loader turns each into a ParseError instead.
+Status CheckScorerParameters(const classify::SigKnnModel& model) {
+  if (model.k < 1) {
+    return Status::ParseError(util::StrPrintf(
+        "classifier k must be >= 1, got %d", model.k));
+  }
+  if (!std::isfinite(model.delta) || model.delta <= 0.0) {
+    return Status::ParseError(util::StrPrintf(
+        "classifier delta must be finite and > 0, got %g", model.delta));
+  }
+  const double restart = model.rwr.restart_prob;
+  if (std::isnan(restart) || restart <= 0.0 || restart > 1.0) {
+    return Status::ParseError(util::StrPrintf(
+        "classifier rwr.restart_prob must be in (0, 1], got %g", restart));
+  }
+  if (model.rwr.bins < 1) {
+    return Status::ParseError(util::StrPrintf(
+        "classifier rwr.bins must be >= 1, got %d", model.rwr.bins));
+  }
+  return Status::Ok();
+}
+
+Status CheckVectorWidths(const std::vector<features::FeatureVec>& set,
+                         size_t width, const char* name) {
+  for (size_t i = 0; i < set.size(); ++i) {
+    if (set[i].size() != width) {
+      return Status::ParseError(util::StrPrintf(
+          "classifier %s vector %zu has width %zu, feature space has %zu",
+          name, i, set[i].size(), width));
+    }
+  }
+  return Status::Ok();
+}
+
 Status DecodeClassifier(ByteReader* r, classify::SigKnnModel* out) {
   uint8_t present;
   GS_RETURN_IF_ERROR(r->ReadU8(&present));
@@ -202,12 +239,17 @@ Status DecodeClassifier(ByteReader* r, classify::SigKnnModel* out) {
     return Status::ParseError("bad featurizer id in classifier section");
   }
   model.rwr.featurizer = static_cast<features::Featurizer>(featurizer);
+  GS_RETURN_IF_ERROR(CheckScorerParameters(model));
   GS_RETURN_IF_ERROR(DecodeFeatureSpace(r, &model.space));
   if (model.space.size() == 0) {
     return Status::ParseError("classifier marked present but space empty");
   }
   GS_RETURN_IF_ERROR(DecodeVectorSet(r, &model.positive));
   GS_RETURN_IF_ERROR(DecodeVectorSet(r, &model.negative));
+  GS_RETURN_IF_ERROR(
+      CheckVectorWidths(model.positive, model.space.size(), "positive"));
+  GS_RETURN_IF_ERROR(
+      CheckVectorWidths(model.negative, model.space.size(), "negative"));
   *out = std::move(model);
   return Status::Ok();
 }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 
@@ -171,6 +172,85 @@ TEST(MinDistTest, PaperWorkedExample) {
   // v3: N1 at distance 3 beats the positives at 4.
   EXPECT_DOUBLE_EQ(MinDistToSubVector(v3, neg), 3.0);
   EXPECT_DOUBLE_EQ(MinDistToSubVector(v3, pos), 4.0);
+}
+
+// --- The sub-vector index against its brute-force oracle.
+
+// Slots in [1, 10], each zero with probability `zero_p`.
+features::FeatureVec RandomSlots(util::Rng& rng, size_t width,
+                                 double zero_p) {
+  features::FeatureVec v(width, 0);
+  for (int16_t& slot : v) {
+    if (!rng.NextBernoulli(zero_p)) {
+      slot = static_cast<int16_t>(rng.NextInt(1, 10));
+    }
+  }
+  return v;
+}
+
+TEST(SubVectorIndexTest, MatchesBruteForceOnRandomSets) {
+  util::Rng rng(1729);
+  int hits = 0, misses = 0;
+  // Widths around the 64-slot mask-word boundaries, plus 79 (the served
+  // model's width).
+  for (size_t width : {1, 63, 64, 65, 79, 128, 129}) {
+    for (int trial = 0; trial < 12; ++trial) {
+      const size_t size = trial == 0 ? 0 : 1 + rng.NextBounded(60);
+      std::vector<features::FeatureVec> set;
+      for (size_t i = 0; i < size; ++i) {
+        set.push_back(RandomSlots(rng, width, 0.8));
+      }
+      // Duplicate rows, and rotated rows: equal sums, other vectors.
+      for (size_t i = 0; i < size / 4; ++i) {
+        set.push_back(set[rng.NextBounded(size)]);
+        features::FeatureVec rotated = set[rng.NextBounded(size)];
+        std::rotate(rotated.begin(), rotated.begin() + 1, rotated.end());
+        set.push_back(std::move(rotated));
+      }
+      rng.Shuffle(&set);
+      const SubVectorIndex index(set);
+
+      std::vector<features::FeatureVec> queries = {
+          features::FeatureVec(width, 0)};
+      for (int q = 0; q < 20; ++q) {
+        queries.push_back(RandomSlots(rng, width, 0.4));
+      }
+      // A member, or a member raised in one slot, is always a hit.
+      for (size_t i = 0; i < std::min<size_t>(set.size(), 10); ++i) {
+        features::FeatureVec x = set[i];
+        if (i % 2 == 1) {
+          int16_t& slot = x[rng.NextBounded(width)];
+          slot = static_cast<int16_t>(slot + rng.NextInt(1, 3));
+        }
+        queries.push_back(std::move(x));
+      }
+      for (size_t q = 0; q < queries.size(); ++q) {
+        const double expected = MinDistToSubVector(queries[q], set);
+        EXPECT_EQ(index.MinDist(queries[q]), expected)
+            << "width " << width << " trial " << trial << " query " << q;
+        ++(std::isinf(expected) ? misses : hits);
+      }
+    }
+  }
+  EXPECT_GT(hits, 0);
+  EXPECT_GT(misses, 0);
+
+  // A stored slot may be negative (an artifact can hold any int16). The
+  // mask marks slots > 0, so {0, -1, 0} still counts as a sub-vector of
+  // the all-zero x.
+  const std::vector<features::FeatureVec> signed_set = {
+      {-2, 0, 3}, {0, -1, 0}, {1, -3, -1}};
+  const SubVectorIndex signed_index(signed_set);
+  for (const features::FeatureVec& x : std::vector<features::FeatureVec>{
+           {0, 0, 0}, {0, 0, 3}, {1, 0, 0}, {-2, 0, 3}, {-3, -3, -3}}) {
+    EXPECT_EQ(signed_index.MinDist(x), MinDistToSubVector(x, signed_set));
+  }
+  EXPECT_EQ(signed_index.MinDist({0, 0, 0}), 1.0);
+
+  // Width 0: rows with no slots at all, each a sub-vector of the empty x.
+  const std::vector<features::FeatureVec> no_slots = {{}, {}};
+  EXPECT_EQ(SubVectorIndex(no_slots).MinDist({}),
+            MinDistToSubVector({}, no_slots));
 }
 
 // --- End-to-end classifier quality on a planted dataset.

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
 #include <string>
+#include <vector>
 
 #include "classify/sig_knn.h"
 #include "core/graphsig.h"
@@ -341,6 +344,68 @@ TEST(ModelArtifactTest, MissingFileIsIoError) {
   auto loaded = LoadArtifact("/nonexistent/path/model.gsig");
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), util::StatusCode::kIoError);
+}
+
+// Each case is a copy of the shared artifact with one classifier value
+// that Score cannot run with: the loader must refuse it, not the first
+// query.
+TEST(ModelArtifactTest, RejectsClassifierTheScorerCannotRun) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    const char* name;
+    const char* field;  // the error must name it
+    std::function<void(classify::SigKnnModel*)> mutate;
+  };
+  const std::vector<Case> cases = {
+      {"wide positive vector", "positive",
+       [](classify::SigKnnModel* m) {
+         m->positive.back().resize(m->space.size() + 8, 1);
+       }},
+      {"wide negative vector", "negative",
+       [](classify::SigKnnModel* m) {
+         m->negative.front().resize(m->space.size() + 8, 1);
+       }},
+      {"narrow negative vector", "negative",
+       [](classify::SigKnnModel* m) { m->negative.back().pop_back(); }},
+      {"restart_prob 0", "restart_prob",
+       [](classify::SigKnnModel* m) { m->rwr.restart_prob = 0.0; }},
+      {"restart_prob above 1", "restart_prob",
+       [](classify::SigKnnModel* m) { m->rwr.restart_prob = 1.5; }},
+      {"restart_prob NaN", "restart_prob",
+       [nan](classify::SigKnnModel* m) { m->rwr.restart_prob = nan; }},
+      {"bins 0", "bins",
+       [](classify::SigKnnModel* m) { m->rwr.bins = 0; }},
+      {"k 0", "k must",
+       [](classify::SigKnnModel* m) { m->k = 0; }},
+      {"k negative", "k must",
+       [](classify::SigKnnModel* m) { m->k = -3; }},
+      {"delta 0", "delta",
+       [](classify::SigKnnModel* m) { m->delta = 0.0; }},
+      {"delta negative", "delta",
+       [](classify::SigKnnModel* m) { m->delta = -1e-3; }},
+      {"delta infinite", "delta",
+       [inf](classify::SigKnnModel* m) { m->delta = inf; }},
+      {"delta NaN", "delta",
+       [nan](classify::SigKnnModel* m) { m->delta = nan; }},
+  };
+  ASSERT_FALSE(TestArtifact().classifier.positive.empty());
+  ASSERT_FALSE(TestArtifact().classifier.negative.empty());
+  for (const Case& c : cases) {
+    ModelArtifact artifact = TestArtifact();
+    c.mutate(&artifact.classifier);
+    auto decoded = DecodeArtifact(EncodeArtifact(artifact));
+    ASSERT_FALSE(decoded.ok()) << c.name << " decoded";
+    EXPECT_EQ(decoded.status().code(), util::StatusCode::kParseError)
+        << c.name;
+    EXPECT_NE(decoded.status().message().find(c.field), std::string::npos)
+        << c.name << ": " << decoded.status().ToString();
+  }
+  // restart_prob 1 and the smallest k stay valid.
+  ModelArtifact edge = TestArtifact();
+  edge.classifier.rwr.restart_prob = 1.0;
+  edge.classifier.k = 1;
+  EXPECT_TRUE(DecodeArtifact(EncodeArtifact(edge)).ok());
 }
 
 TEST(ModelArtifactTest, ClassifierScoresSurviveRoundTrip) {

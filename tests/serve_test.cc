@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "classify/sig_knn.h"
 #include "core/graphsig.h"
 #include "data/datasets.h"
+#include "features/rwr.h"
 #include "graph/isomorphism.h"
 #include "model/artifact.h"
 #include "serve/pattern_catalog.h"
@@ -111,6 +116,47 @@ TEST(PatternCatalogTest, ScoresMatchDirectClassifier) {
     ASSERT_TRUE(r.has_score);
     EXPECT_EQ(r.score, f.direct_classifier.Score(g)) << "query " << i;
   }
+}
+
+// Algorithm 3 recomputed from the model with the brute-force minDist:
+// each node vector's nearer class at its distance, the k smallest
+// (distance, class) pairs kept, and 1 / (distance + delta) summed with
+// its class's sign from the largest kept pair down, the order
+// GraphSigClassifier::Score pops its heap in.
+double BruteForceScore(const classify::SigKnnModel& model,
+                       const graph::Graph& query) {
+  std::vector<std::pair<double, int>> nearest;
+  for (const features::NodeVector& nv :
+       features::GraphToVectors(query, -1, model.space, model.rwr)) {
+    const double pos = classify::MinDistToSubVector(nv.values, model.positive);
+    const double neg = classify::MinDistToSubVector(nv.values, model.negative);
+    if (std::isinf(pos) && std::isinf(neg)) continue;
+    nearest.push_back(neg < pos ? std::pair{neg, -1} : std::pair{pos, +1});
+  }
+  std::sort(nearest.begin(), nearest.end());
+  nearest.resize(std::min(nearest.size(), static_cast<size_t>(model.k)));
+  double score = 0.0;
+  for (auto it = nearest.rbegin(); it != nearest.rend(); ++it) {
+    score += static_cast<double>(it->second) / (it->first + model.delta);
+  }
+  return score;
+}
+
+TEST(PatternCatalogTest, ScoresMatchBruteForceMinDist) {
+  const Fixture& f = SharedFixture();
+  auto catalog = PatternCatalog::FromArtifact(f.artifact);
+  ASSERT_TRUE(catalog.ok());
+  const graph::GraphDatabase holdout = TestScreen(555, 30);
+  int nonzero = 0;
+  for (size_t i = 0; i < holdout.size(); ++i) {
+    const graph::Graph& g = holdout.graph(i);
+    const QueryResult r = catalog.value().Query(g);
+    ASSERT_TRUE(r.has_score);
+    EXPECT_EQ(r.score, BruteForceScore(f.artifact.classifier, g))
+        << "holdout " << i;
+    nonzero += r.score != 0.0;
+  }
+  EXPECT_GT(nonzero, 0);
 }
 
 // The acceptance-criteria golden test: an artifact saved to disk and

@@ -9,8 +9,10 @@
 // Prints AUC over the test file (using its tags as truth) and optionally
 // writes per-graph scores.
 
+#include <cstdint>
 #include <cstdio>
 
+#include <limits>
 #include <optional>
 
 #include "classify/auc.h"
@@ -37,7 +39,10 @@ int main(int argc, char** argv) {
   }
   const std::optional<core::GraphSigConfig> mining =
       tools::MiningConfigFromFlags(flags);
-  if (!mining) return 1;
+  const std::optional<int64_t> k = tools::FlagInRange<int64_t>(
+      flags, "k", classify::SigKnnConfig{}.k, 1,
+      std::numeric_limits<int>::max());
+  if (!mining || !k) return 1;
   const std::string format = flags.GetString("format", "smiles");
   auto train = tools::LoadDatabase(train_path, format);
   if (!train.ok()) tools::Fail(train.status());
@@ -45,7 +50,7 @@ int main(int argc, char** argv) {
   if (!test.ok()) tools::Fail(test.status());
 
   classify::SigKnnConfig config;
-  config.k = static_cast<int>(flags.GetInt("k", config.k));
+  config.k = static_cast<int>(*k);
   config.mining = *mining;
   const int threads = config.mining.num_threads;
 

@@ -14,8 +14,10 @@
 // both classes are present; otherwise the artifact ships without one
 // (graphsig_query then reports matches only).
 
+#include <cstdint>
 #include <cstdio>
 
+#include <limits>
 #include <optional>
 
 #include "classify/sig_knn.h"
@@ -43,7 +45,10 @@ int main(int argc, char** argv) {
   }
   const std::optional<core::GraphSigConfig> config =
       tools::MiningConfigFromFlags(flags);
-  if (!config) return 1;
+  const std::optional<int64_t> k = tools::FlagInRange<int64_t>(
+      flags, "k", classify::SigKnnConfig{}.k, 1,
+      std::numeric_limits<int>::max());
+  if (!config || !k) return 1;
   auto loaded =
       tools::LoadDatabase(input, flags.GetString("format", "smiles"));
   if (!loaded.ok()) tools::Fail(loaded.status());
@@ -77,7 +82,7 @@ int main(int argc, char** argv) {
   if (num_active > 0 && num_inactive > 0) {
     classify::SigKnnConfig knn_config;
     knn_config.mining = *config;
-    knn_config.k = static_cast<int>(flags.GetInt("k", knn_config.k));
+    knn_config.k = static_cast<int>(*k);
     classify::GraphSigClassifier classifier(knn_config);
     util::WallTimer train_timer;
     classifier.Train(artifact.database);
