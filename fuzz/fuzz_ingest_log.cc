@@ -2,14 +2,14 @@
 // the streaming pipeline's durable-state surface: graphsig_ingest opens
 // whatever file --log names, so DecodeIngestLog must turn arbitrary
 // bytes into a clean util::Status (or a recovered torn-tail prefix),
-// never a crash, hang, or sanitizer report. A recovered checkpoint is
-// itself untrusted mine-state bytes, so it is fed straight into
-// DecodeMineState — the exact path IncrementalMiner::Restore takes.
+// never a crash, hang, or sanitizer report. Checkpoint bytes are
+// opaque: nothing decodes them.
 //
 // The per-record CRC rejects most random mutations outright, so the
-// seed corpus carries valid logs (CRCs intact, real checkpoint bytes)
-// and the fuzzer's structural mutations of them are what actually reach
-// the batch/checkpoint payload decoders.
+// seed corpus carries valid logs (CRCs intact, checkpoint records from
+// this build and from the older miner's format) and the fuzzer's
+// structural mutations of them are what actually reach the
+// batch/checkpoint payload decoders.
 //
 // A successfully decoded log is re-framed record by record and decoded
 // again to pin the round-trip contract.
@@ -20,7 +20,6 @@
 #include <string_view>
 
 #include "stream/ingest_log.h"
-#include "stream/mine_state.h"
 #include "util/binary.h"
 #include "util/check.h"
 
@@ -54,12 +53,5 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   GS_CHECK_EQ(again.value().checkpoint_generation,
               contents.value().checkpoint_generation);
   GS_CHECK(again.value().checkpoint == contents.value().checkpoint);
-
-  // Checkpoint bytes are opaque to the log but not to Restore: decoding
-  // them must be hostile-input safe too.
-  if (!contents.value().checkpoint.empty()) {
-    auto state = stream::DecodeMineState(contents.value().checkpoint);
-    (void)state;
-  }
   return 0;
 }

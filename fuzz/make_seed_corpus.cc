@@ -243,9 +243,12 @@ int main(int argc, char** argv) {
                    reply_frame.substr(0, reply_frame.size() - 3));
   }
 
-  // ingest_log: a valid streaming log (two batches + a real mine-state
-  // checkpoint, CRCs intact so mutations reach the payload decoders),
-  // an empty log, and a torn tail the decoder must recover from.
+  // ingest_log: a valid streaming log (two batches + a checkpoint
+  // record, CRCs intact so mutations reach the payload decoders), an
+  // empty log, and a torn tail the decoder must recover from. The
+  // checked-in log_v1_checkpoint.bin, written by the older miner, is
+  // not regenerated here: it keeps a real old-format checkpoint in the
+  // corpus.
   {
     namespace stream = graphsig::stream;
     graphsig::util::ByteWriter header;
@@ -256,17 +259,13 @@ int main(int argc, char** argv) {
     std::vector<Graph> batch1(db.graphs().begin(), db.graphs().end());
     std::vector<Graph> batch2(more.graphs().begin(), more.graphs().end());
 
-    // A real checkpoint: mine the first batch incrementally so the
-    // checkpoint bytes are exactly what IncrementalMiner::Restore eats.
+    // The checkpoint bytes are exactly what IncrementalMiner::Restore
+    // accepts.
     graphsig::core::GraphSigConfig config;
     config.cutoff_radius = 2;
     config.min_freq_percent = 10.0;
     config.fsm_max_edges = 6;
-    stream::IncrementalMiner miner(config);
-    GraphDatabase db1;
-    for (const Graph& g : batch1) db1.Add(g);
-    std::vector<uint64_t> generations(batch1.size(), 1);
-    (void)miner.Mine(db1, generations, 1);
+    const stream::IncrementalMiner miner(config);
 
     const std::string full = header.buffer() +
                              stream::EncodeBatchRecord(1, batch1) +

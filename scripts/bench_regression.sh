@@ -53,12 +53,12 @@ trap cleanup EXIT
   --counters-out="$WORK/micro_metrics.json" >/dev/null
 
 # --- Phase 1b: streaming ingest (seeded append workload) --------------
-# Append two seeded batches to a fresh log and mine after each; the
-# second mine restores the first's checkpoint, so the stream/* reuse
-# accounting (graphs replayed vs featurized, groups re-mined, log
-# records) gates here alongside the mining counters. Byte-identity of
-# the incremental artifact against a cold re-mine is tier-1
-# (tests/stream_test.cc); this phase pins the work the shortcut saves.
+# Append two seeded batches to a fresh log and mine after each, the
+# second mine in Tarone mode. Only the second call dumps its metrics, so
+# this phase gates the log counters (stream/log_*), the Tarone counters
+# (stream/tarone_*) and the mining counters of a cold mine of the whole
+# 60-graph log. Byte-identity of a streamed mine against a cold one is
+# tier-1 (tests/stream_test.cc).
 "$BUILD/tools/graphsig_datagen" --screen=MCF-7 --size=40 --seed=5 \
   --active-fraction=0.3 --output="$WORK/batch1.smi" >/dev/null
 "$BUILD/tools/graphsig_datagen" --screen=MCF-7 --size=20 --seed=6 \

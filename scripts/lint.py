@@ -55,12 +55,12 @@ Rules (each can be waived on one line with a `lint:allow=<rule>` comment):
                 outside src/obs/. The name is the metric's identity
                 (DESIGN.md §12): a computed name forks the namespace at
                 runtime, breaks the grep-able counter inventory, and
-                desyncs the bench-regression baseline. The obs replay
-                machinery (src/obs/work_capture.cc restoring captured
-                names, the trace-span macro) is the sanctioned
-                exception. The semantic analyzer's `metric-literal`
-                checker proves the same property on the AST; this rule
-                is its dependency-free line-level mirror.
+                desyncs the bench-regression baseline. src/obs/ itself
+                is the sanctioned exception: the trace-span macro
+                forwards its caller's literal path to GetSpan. The
+                semantic analyzer's `metric-literal` checker proves the
+                same property on the AST; this rule is its
+                dependency-free line-level mirror.
 
   raw-std-random  <random> engines/distributions (std::mt19937,
                 std::random_device, std::*_distribution, ...) anywhere
@@ -177,7 +177,8 @@ RULES = [
         and rel.parts[:2] != ("src", "obs"),
         "register metrics with a string-literal name (the name is the "
         "identity, DESIGN.md §12); computed names fork the namespace — "
-        "the replay machinery in src/obs/ is the only exception",
+        "src/obs/, where the trace-span macro forwards its caller's "
+        "literal, is the only exception",
     ),
     (
         "raw-std-random",

@@ -6,16 +6,15 @@
 
 namespace graphsig::core {
 
-// Both entry points are null-state runs of the one driver in
-// core/mine_pipeline.h.
+// Both entry points run the pipeline in core/mine_pipeline.h.
 
 std::vector<std::pair<graph::Label, fvmine::SignificantVector>>
 GraphSig::MineSignificantVectors(const graph::GraphDatabase& db,
                                  GraphSigProfile* profile,
                                  const features::FeatureSpace* space) const {
   GraphSigResult result;
-  pipeline::FeatureHalfOutput half = pipeline::MineFeatureHalf(
-      config_, db, space, nullptr, nullptr, &result);
+  pipeline::FeatureHalfOutput half =
+      pipeline::MineFeatureHalf(config_, db, space, &result);
   if (profile != nullptr) {
     *profile = result.profile;
     profile->total_seconds =
@@ -25,7 +24,7 @@ GraphSig::MineSignificantVectors(const graph::GraphDatabase& db,
 }
 
 GraphSigResult GraphSig::Mine(const graph::GraphDatabase& db) const {
-  return pipeline::Mine(config_, db, nullptr, nullptr, nullptr, nullptr);
+  return pipeline::Mine(config_, db);
 }
 
 }  // namespace graphsig::core

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <optional>
 
 #include "features/packed_vector_set.h"
 #include "features/rwr.h"
@@ -13,11 +12,7 @@
 #include "graph/isomorphism.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "obs/work_capture.h"
 #include "stats/pvalue_model.h"
-#include "stream/incremental.h"
-#include "stream/mine_state.h"
-#include "stream/region_cut_cache.h"
 #include "stream/tarone.h"
 #include "util/parallel.h"
 #include "util/timer.h"
@@ -216,60 +211,13 @@ void SortBySignificance(std::vector<SignificantSubgraph>* subgraphs) {
 
 namespace {
 
-// RWR featurization (Algorithm 2 lines 3-4) into `*fresh`, or into
-// state->node_vectors: then only graphs appended since the last mine
-// run RWR, under capture, and earlier graphs replay their deltas, so the
-// span and counters match a cold DatabaseToVectors.
-const std::vector<NodeVector>& Featurize(
-    const GraphSigConfig& config, const GraphDatabase& db,
-    const features::FeatureSpace& space, stream::MineState* state,
-    stream::IncrementalMineStats* mine_stats,
-    std::vector<NodeVector>* fresh) {
-  if (state == nullptr) {
-    *fresh = features::DatabaseToVectors(db, space, config.rwr,
-                                         config.num_threads);
-    return *fresh;
-  }
-  GS_TRACE_SPAN_NAMED(vec_span, "features/vectorize");
-  for (const obs::WorkDelta& delta : state->featurize_deltas) {
-    obs::ReplayWorkDelta(delta);
-  }
-  const size_t old_graphs = state->featurize_deltas.size();
-  const size_t new_graphs = db.size() - old_graphs;
-  std::vector<std::vector<NodeVector>> per_graph(new_graphs);
-  state->featurize_deltas.resize(db.size());
-  util::ParallelFor(config.num_threads, new_graphs, [&](size_t k) {
-    const size_t graph_index = old_graphs + k;
-    obs::WorkCapture capture;
-    per_graph[k] = features::GraphToVectors(
-        db.graph(graph_index), static_cast<int32_t>(graph_index), space,
-        config.rwr);
-    state->featurize_deltas[graph_index] = capture.Take();
-  });
-  for (std::vector<NodeVector>& vectors : per_graph) {
-    state->node_vectors.insert(state->node_vectors.end(),
-                               std::make_move_iterator(vectors.begin()),
-                               std::make_move_iterator(vectors.end()));
-  }
-  if (mine_stats != nullptr) {
-    mine_stats->graphs_reused = static_cast<int64_t>(old_graphs);
-    mine_stats->graphs_featurized = static_cast<int64_t>(new_graphs);
-  }
-  vec_span.AddWork(state->node_vectors.size());
-  return state->node_vectors;
-}
-
 // Graph-space half (lines 8-13): fills result->subgraphs, the region
 // stats and the fsm seconds.
 void MineGraphHalf(const GraphSigConfig& config, const GraphDatabase& db,
-                   const FeatureHalfOutput& half, stream::MineState* state,
-                   stream::RegionCutCache* cut_cache,
-                   stream::IncrementalMineStats* mine_stats,
-                   GraphSigResult* result) {
+                   const FeatureHalfOutput& half, GraphSigResult* result) {
   util::WallTimer timer;
   GS_TRACE_SPAN_NAMED(fsm_span, "mine/fsm");
-  const std::vector<NodeVector>& node_vectors =
-      state != nullptr ? state->node_vectors : half.node_vectors;
+  const std::vector<NodeVector>& node_vectors = half.node_vectors;
   // Each significant vector selects the regions it describes (lines
   // 8-13). Pass 1 (serial): sample each vector's regions and dedup the
   // (graph, node) cuts the samples need.
@@ -278,53 +226,18 @@ void MineGraphHalf(const GraphSigConfig& config, const GraphDatabase& db,
   result->stats.num_region_requests = plan.num_region_requests;
   result->stats.num_unique_regions = plan.num_unique_regions;
 
-  // Pass 2: take cuts from the cut cache, if any, and compute the rest
-  // in parallel (a cut is a pure function of its key and bumps no work
-  // counter).
-  const auto cache_key = [&](size_t slot) {
-    const NodeVector& nv = node_vectors[plan.cut_owner[slot]];
-    return stream::RegionCutCache::Key{
-        state->graph_generations[nv.graph_index], nv.graph_index, nv.node};
-  };
+  // Pass 2: compute every distinct cut once, in parallel (a cut is a
+  // pure function of its key and bumps no work counter).
   std::vector<graph::Graph> cuts(plan.cut_owner.size());
-  std::vector<size_t> missing;
-  for (size_t i = 0; i < cuts.size(); ++i) {
-    const graph::Graph* hit =
-        cut_cache != nullptr ? cut_cache->Lookup(cache_key(i)) : nullptr;
-    if (hit != nullptr) {
-      cuts[i] = *hit;
-    } else {
-      missing.push_back(i);
-    }
-  }
-  util::ParallelFor(config.num_threads, missing.size(), [&](size_t m) {
-    const NodeVector& nv = node_vectors[plan.cut_owner[missing[m]]];
-    cuts[missing[m]] = CutRegion(db.graph(nv.graph_index), nv.graph_index,
-                                 nv.node, config.cutoff_radius);
+  util::ParallelFor(config.num_threads, cuts.size(), [&](size_t i) {
+    const NodeVector& nv = node_vectors[plan.cut_owner[i]];
+    cuts[i] = CutRegion(db.graph(nv.graph_index), nv.graph_index, nv.node,
+                        config.cutoff_radius);
   });
-  if (cut_cache != nullptr) {
-    for (size_t i : missing) cut_cache->Insert(cache_key(i), cuts[i]);
-  }
 
-  // Pass 3: mine every region set as a pool task, or with a state
-  // replay the task's cache entry when present (a reused group can lack
-  // entries: delta* may admit candidates it filtered before).
+  // Pass 3: mine every region set as a pool task.
   std::vector<RegionTaskOutput> outputs(plan.tasks.size());
-  std::vector<size_t> to_run;
-  for (size_t t = 0; t < plan.tasks.size(); ++t) {
-    const stream::GroupFsmEntry* entry =
-        state != nullptr ? half.fsm_entries[plan.tasks[t].sv_index]
-                         : nullptr;
-    if (entry != nullptr && entry->present) {
-      outputs[t].dedup = entry->dedup;
-      outputs[t].filtered = entry->filtered;
-      obs::ReplayWorkDelta(entry->delta);
-    } else {
-      to_run.push_back(t);
-    }
-  }
-  util::ParallelFor(config.num_threads, to_run.size(), [&](size_t i) {
-    const size_t t = to_run[i];
+  util::ParallelFor(config.num_threads, plan.tasks.size(), [&](size_t t) {
     const RegionTask& task = plan.tasks[t];
     GraphDatabase regions;
     regions.Reserve(task.chosen.size());
@@ -333,27 +246,10 @@ void MineGraphHalf(const GraphSigConfig& config, const GraphDatabase& db,
       regions.Add(
           cuts[plan.cut_slot.at(RegionCutKey(nv.graph_index, nv.node))]);
     }
-    std::optional<obs::WorkCapture> capture;
-    if (state != nullptr) capture.emplace();
     outputs[t] = MineRegionTask(config, task.label,
                                 half.significant[task.sv_index].second,
                                 regions);
-    if (capture) {
-      stream::GroupFsmEntry& entry = *half.fsm_entries[task.sv_index];
-      entry.delta = capture->Take();
-      entry.present = true;
-      entry.filtered = outputs[t].filtered;
-      entry.dedup = outputs[t].dedup;
-    }
   });
-  if (mine_stats != nullptr) {
-    mine_stats->cuts_computed = static_cast<int64_t>(missing.size());
-    mine_stats->cuts_reused =
-        static_cast<int64_t>(cuts.size() - missing.size());
-    mine_stats->fsm_tasks_mined = static_cast<int64_t>(to_run.size());
-    mine_stats->fsm_tasks_replayed =
-        static_cast<int64_t>(plan.tasks.size() - to_run.size());
-  }
 
   // Merge in task (significant-vector) order, so ties resolve the same
   // way for any thread count.
@@ -377,8 +273,6 @@ void MineGraphHalf(const GraphSigConfig& config, const GraphDatabase& db,
 FeatureHalfOutput MineFeatureHalf(const GraphSigConfig& config,
                                   const GraphDatabase& db,
                                   const features::FeatureSpace* space,
-                                  stream::MineState* state,
-                                  stream::IncrementalMineStats* mine_stats,
                                   GraphSigResult* result) {
   FeatureHalfOutput out;
   util::WallTimer timer;
@@ -387,71 +281,32 @@ FeatureHalfOutput MineFeatureHalf(const GraphSigConfig& config,
           ? *space
           : features::FeatureSpace::ForChemicalDatabase(db,
                                                         config.top_k_atoms);
-  const std::vector<NodeVector>& node_vectors = Featurize(
-      config, db, result->feature_space, state, mine_stats,
-      &out.node_vectors);
+  // RWR featurization (lines 3-4).
+  out.node_vectors = features::DatabaseToVectors(
+      db, result->feature_space, config.rwr, config.num_threads);
   result->profile.rwr_seconds = timer.ElapsedSeconds();
-  result->stats.num_vectors = static_cast<int64_t>(node_vectors.size());
-  if (node_vectors.empty()) {
-    if (state != nullptr) state->groups.clear();
-    return out;
-  }
+  result->stats.num_vectors = static_cast<int64_t>(out.node_vectors.size());
+  if (out.node_vectors.empty()) return out;
 
   timer.Restart();
   GS_TRACE_SPAN_NAMED(feature_span, "mine/feature");
   // Group by anchor label (line 6) and run FVMine per group (line 7).
-  // With a state, a group whose member list (hence priors) is unchanged
-  // reuses its cached output and replays its delta.
-  const auto groups = GroupByAnchorLabel(node_vectors);
-  result->stats.num_groups = static_cast<int64_t>(groups.size());
-  std::map<Label, stream::GroupCacheEntry*> cached;
-  if (state != nullptr) {
-    for (stream::GroupCacheEntry& entry : state->groups) {
-      cached[entry.label] = &entry;
-    }
-  }
-  std::vector<stream::GroupCacheEntry> entries(groups.size());
-  std::vector<size_t> to_mine;
-  for (size_t g = 0; g < groups.size(); ++g) {
-    auto it = cached.find(groups[g].first);
-    if (it != cached.end() && it->second->members == groups[g].second) {
-      entries[g] = std::move(*it->second);
-      obs::ReplayWorkDelta(entries[g].delta);
-    } else {
-      to_mine.push_back(g);
-    }
-  }
   // Each group writes its own slot; the slots concatenate in label
   // order below, so the output is identical for any thread count.
-  util::ParallelFor(config.num_threads, to_mine.size(), [&](size_t i) {
-    const size_t g = to_mine[i];
-    std::optional<obs::WorkCapture> capture;
-    if (state != nullptr) capture.emplace();
-    GroupMineOutput mined =
-        MineLabelGroup(config, node_vectors, groups[g].second);
-    stream::GroupCacheEntry& entry = entries[g];
-    entry.label = groups[g].first;
-    entry.vectors = std::move(mined.vectors);
-    entry.psis = std::move(mined.psis);
-    if (capture) {
-      entry.delta = capture->Take();
-      entry.members = groups[g].second;
-      entry.fsm.resize(entry.vectors.size());
-    }
+  const auto groups = GroupByAnchorLabel(out.node_vectors);
+  result->stats.num_groups = static_cast<int64_t>(groups.size());
+  std::vector<GroupMineOutput> mined(groups.size());
+  util::ParallelFor(config.num_threads, groups.size(), [&](size_t g) {
+    mined[g] = MineLabelGroup(config, out.node_vectors, groups[g].second);
   });
-  if (mine_stats != nullptr) {
-    mine_stats->groups_mined = static_cast<int64_t>(to_mine.size());
-    mine_stats->groups_reused =
-        static_cast<int64_t>(groups.size() - to_mine.size());
-  }
 
   // Tarone: solve delta* over every evaluated state's psi, in group
   // label order, and keep only candidates that clear it.
   double max_pvalue = std::numeric_limits<double>::infinity();
   if (config.tarone_alpha > 0.0) {
     std::vector<double> psis;
-    for (const stream::GroupCacheEntry& entry : entries) {
-      psis.insert(psis.end(), entry.psis.begin(), entry.psis.end());
+    for (const GroupMineOutput& group : mined) {
+      psis.insert(psis.end(), group.psis.begin(), group.psis.end());
     }
     const stream::TaroneResult tarone =
         stream::TaroneThreshold::Compute(std::move(psis),
@@ -461,21 +316,15 @@ FeatureHalfOutput MineFeatureHalf(const GraphSigConfig& config,
     result->stats.tarone_family_size =
         static_cast<int64_t>(tarone.family_size);
   }
-  for (stream::GroupCacheEntry& entry : entries) {
-    for (size_t c = 0; c < entry.vectors.size(); ++c) {
-      if (entry.vectors[c].p_value > max_pvalue) {
+  for (size_t g = 0; g < groups.size(); ++g) {
+    for (fvmine::SignificantVector& sv : mined[g].vectors) {
+      if (sv.p_value > max_pvalue) {
         ++result->stats.tarone_filtered_vectors;
-      } else if (state == nullptr) {
-        out.significant.emplace_back(entry.label,
-                                     std::move(entry.vectors[c]));
       } else {
-        out.significant.emplace_back(entry.label, entry.vectors[c]);
-        out.fsm_entries.push_back(&entry.fsm[c]);
+        out.significant.emplace_back(groups[g].first, std::move(sv));
       }
     }
   }
-  // The move keeps every entry, so every fsm_entries pointer, in place.
-  if (state != nullptr) state->groups = std::move(entries);
 
   result->stats.num_significant_vectors =
       static_cast<int64_t>(out.significant.size());
@@ -484,17 +333,12 @@ FeatureHalfOutput MineFeatureHalf(const GraphSigConfig& config,
   return out;
 }
 
-GraphSigResult Mine(const GraphSigConfig& config, const GraphDatabase& db,
-                    const features::FeatureSpace* space,
-                    stream::MineState* state,
-                    stream::RegionCutCache* cut_cache,
-                    stream::IncrementalMineStats* mine_stats) {
+GraphSigResult Mine(const GraphSigConfig& config, const GraphDatabase& db) {
   GS_TRACE_SPAN("mine");
   util::WallTimer timer;
   GraphSigResult result;
-  const FeatureHalfOutput half =
-      MineFeatureHalf(config, db, space, state, mine_stats, &result);
-  MineGraphHalf(config, db, half, state, cut_cache, mine_stats, &result);
+  const FeatureHalfOutput half = MineFeatureHalf(config, db, nullptr, &result);
+  MineGraphHalf(config, db, half, &result);
   result.profile.total_seconds = timer.ElapsedSeconds();
   return result;
 }

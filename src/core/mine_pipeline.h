@@ -2,21 +2,14 @@
 #define GRAPHSIG_CORE_MINE_PIPELINE_H_
 
 // The GraphSig mining pipeline (Algorithm 2): its deterministic units
-// of work and the one driver that composes them. The driver's two
-// halves take the incremental miner's reuse state as nullable pointers.
-// core::GraphSig::Mine is the null-state run: every unit runs and
-// nothing is captured, cached or counted under stream/inc_*.
-// stream::IncrementalMiner passes its state, so a unit with unchanged
-// inputs replays its cached output and captured work-counter delta
-// (obs/work_capture.h), and a fresh unit runs under capture into the
-// cache. One composition for both modes is what keeps an incremental
-// mine byte-identical, artifact and counter dump both, to a cold one.
+// of work and Mine, their one composition. core::GraphSig::Mine runs
+// it over a whole database; every caller that mines, streaming ingest
+// included, goes through it.
 //
 // Every unit is a pure function of its arguments (plus the
 // deterministic work counters it bumps). Units that run inside
 // ParallelFor tasks (MineLabelGroup, CutRegion, MineRegionTask) are
-// internally single-threaded, which makes their metric writes
-// capturable per unit.
+// internally single-threaded.
 
 #include <cstdint>
 #include <map>
@@ -29,13 +22,6 @@
 #include "features/feature_vector.h"
 #include "fvmine/fvmine.h"
 #include "graph/graph_database.h"
-
-namespace graphsig::stream {
-struct GroupFsmEntry;
-struct IncrementalMineStats;
-struct MineState;
-class RegionCutCache;
-}  // namespace graphsig::stream
 
 namespace graphsig::core::pipeline {
 
@@ -122,19 +108,13 @@ void ComputeDbFrequencies(const GraphSigConfig& config,
 void SortBySignificance(std::vector<SignificantSubgraph>* subgraphs);
 
 // ---------------------------------------------------------------------
-// The driver. A `state` must already match `db` (the caller checks its
-// lineage and feature space); `cut_cache` needs `state`, whose ingest
-// generations its keys carry; `mine_stats` gets the reuse accounting.
+// The composition.
 
 struct FeatureHalfOutput {
-  // The node vectors; empty with a state, which holds them instead.
   std::vector<features::NodeVector> node_vectors;
   // Vectors that pass the Tarone filter, in (label, DFS) order.
   std::vector<std::pair<graph::Label, fvmine::SignificantVector>>
       significant;
-  // With a state: each significant vector's region-mining cache entry
-  // in state->groups.
-  std::vector<stream::GroupFsmEntry*> fsm_entries;
 };
 
 // Feature-space half (Algorithm 2 lines 3-7): RWR over `space` (null
@@ -143,19 +123,13 @@ struct FeatureHalfOutput {
 FeatureHalfOutput MineFeatureHalf(const GraphSigConfig& config,
                                   const graph::GraphDatabase& db,
                                   const features::FeatureSpace* space,
-                                  stream::MineState* state,
-                                  stream::IncrementalMineStats* mine_stats,
                                   GraphSigResult* result);
 
 // The feature half, then the graph-space half (lines 8-13: plan, cut,
 // mine each region set, merge, db frequency, sort), under the "mine"
 // span.
 GraphSigResult Mine(const GraphSigConfig& config,
-                    const graph::GraphDatabase& db,
-                    const features::FeatureSpace* space,
-                    stream::MineState* state,
-                    stream::RegionCutCache* cut_cache,
-                    stream::IncrementalMineStats* mine_stats);
+                    const graph::GraphDatabase& db);
 
 }  // namespace graphsig::core::pipeline
 

@@ -226,22 +226,6 @@ std::map<std::string, uint64_t> MetricsRegistry::WorkValues() const {
   return values;
 }
 
-std::string MetricsRegistry::CounterName(const Counter* counter) const {
-  util::MutexLock lock(&mu_);
-  for (const auto& [name, c] : counters_) {
-    if (c.get() == counter) return name;
-  }
-  return std::string();
-}
-
-std::string MetricsRegistry::SpanPath(const SpanStats* span) const {
-  util::MutexLock lock(&mu_);
-  for (const auto& [path, s] : spans_) {
-    if (s.get() == span) return path;
-  }
-  return std::string();
-}
-
 void MetricsRegistry::Reset() {
   util::MutexLock lock(&mu_);
   for (auto& [name, c] : counters_) c->ResetValue();

@@ -52,34 +52,11 @@
 
 namespace graphsig::obs {
 
-class Counter;
-class SpanStats;
-
-namespace internal {
-// Per-thread capture hook (obs/work_capture.h). When a WorkCapture is
-// live on this thread, every deterministic metric write also lands in
-// its frame so the delta can be persisted and replayed later — the
-// mechanism the incremental miner uses to keep cached work
-// counter-transparent. Null (one TLS load, no branch taken) otherwise.
-// constinit tells every includer the variable needs no dynamic
-// initialization, so reads are plain TLS loads rather than calls
-// through a TLS init wrapper (which UBSan flags as a null load).
-struct CaptureFrame;
-extern constinit thread_local CaptureFrame* tls_capture_frame;
-void CaptureCounterWrite(Counter* counter, uint64_t n);
-void CaptureSpanWrite(SpanStats* span, uint64_t calls, uint64_t work);
-}  // namespace internal
-
 // Monotonic counter. Add() is lock-free (relaxed atomic); totals from
 // concurrent adders are exact.
 class Counter {
  public:
-  void Add(uint64_t n) {
-    value_.fetch_add(n, std::memory_order_relaxed);
-    if (internal::tls_capture_frame != nullptr) {
-      internal::CaptureCounterWrite(this, n);
-    }
-  }
+  void Add(uint64_t n) { value_.fetch_add(n, std::memory_order_relaxed); }
   void Increment() { Add(1); }
   uint64_t value() const { return value_.load(std::memory_order_relaxed); }
 
@@ -157,24 +134,6 @@ class SpanStats {
     calls_.fetch_add(1, std::memory_order_relaxed);
     work_.fetch_add(work, std::memory_order_relaxed);
     wall_ns_.fetch_add(wall_ns, std::memory_order_relaxed);
-    if (internal::tls_capture_frame != nullptr) {
-      internal::CaptureSpanWrite(this, 1, work);
-    }
-  }
-  void AddWork(uint64_t n) {
-    work_.fetch_add(n, std::memory_order_relaxed);
-    if (internal::tls_capture_frame != nullptr) {
-      internal::CaptureSpanWrite(this, 0, n);
-    }
-  }
-  // Re-applies a previously captured {calls, work} delta without
-  // touching wall time — wall is advisory and never replayed.
-  void AddReplay(uint64_t calls, uint64_t work) {
-    calls_.fetch_add(calls, std::memory_order_relaxed);
-    work_.fetch_add(work, std::memory_order_relaxed);
-    if (internal::tls_capture_frame != nullptr) {
-      internal::CaptureSpanWrite(this, calls, work);
-    }
   }
 
   uint64_t calls() const { return calls_.load(std::memory_order_relaxed); }
@@ -235,13 +194,6 @@ class MetricsRegistry {
   // "span/<path>/calls" and "span/<path>/work". What the determinism
   // tests compare.
   std::map<std::string, uint64_t> WorkValues() const GS_EXCLUDES(mu_);
-
-  // Reverse lookups for obs/work_capture.h: the registered name of a
-  // deterministic work counter (or span path), empty when the pointer
-  // is not a deterministic metric of this registry — which is how a
-  // captured frame drops advisory counters at resolution time.
-  std::string CounterName(const Counter* counter) const GS_EXCLUDES(mu_);
-  std::string SpanPath(const SpanStats* span) const GS_EXCLUDES(mu_);
 
   // Zeroes every registered value. Metric pointers stay valid; safe
   // against concurrent writers (they just land in the fresh epoch).

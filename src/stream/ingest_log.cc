@@ -1,7 +1,9 @@
 #include "stream/ingest_log.h"
 
+#include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <system_error>
 #include <utility>
 
 #include "graph/serialize.h"
@@ -198,17 +200,19 @@ Result<IngestLog> IngestLog::Open(const std::string& path) {
   }
   GS_ASSIGN_OR_RETURN(IngestLogContents contents, DecodeIngestLog(bytes));
   if (contents.torn_tail) {
-    // Truncate the partial record so the next append starts clean.
+    // Cut the partial record off in place so the next append starts
+    // clean. Nothing is rewritten, so a crash here cannot shorten the
+    // valid prefix.
     auto& registry = obs::MetricsRegistry::Global();
     static obs::Counter* const torn =
         registry.GetCounter("stream/log_torn_tails");
     torn->Add(1);
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out) return Status::IoError("cannot truncate: " + path);
-    out.write(bytes.data(),
-              static_cast<std::streamsize>(contents.valid_bytes));
-    out.flush();
-    if (!out) return Status::IoError("truncate failed: " + path);
+    std::error_code error;
+    std::filesystem::resize_file(path, contents.valid_bytes, error);
+    if (error) {
+      return Status::IoError("truncate failed: " + path + ": " +
+                             error.message());
+    }
     contents.torn_tail = false;
   }
   return IngestLog(path, std::move(contents));

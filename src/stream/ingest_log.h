@@ -2,8 +2,8 @@
 #define GRAPHSIG_STREAM_INGEST_LOG_H_
 
 // The append-only ingest log: the durable record of every graph batch
-// the streaming pipeline has accepted, plus optional mine-state
-// checkpoints (DESIGN.md §16).
+// the streaming pipeline has accepted, plus optional checkpoint records
+// (DESIGN.md §16).
 //
 // File layout (all integers little-endian):
 //
@@ -19,9 +19,8 @@
 // Record types:
 //   1 (batch):      u64 generation | u32 graph count | graphs
 //                   (graph::EncodeGraph each)
-//   2 (checkpoint): u64 generation | opaque mine-state bytes
-//                   (stream/mine_state.h; the log does not interpret
-//                   them)
+//   2 (checkpoint): u64 generation | opaque bytes (the log does not
+//                   interpret them; graphsig_ingest writes none)
 //
 // Generations are assigned by the log: the first batch is generation 1
 // and every append increments by one. A decoded log whose batch
@@ -105,8 +104,8 @@ class IngestLog {
   util::Result<uint64_t> AppendBatch(
       const std::vector<graph::Graph>& graphs);
 
-  // Appends a checkpoint of the mine state at `generation`, which must
-  // be an already-appended generation.
+  // Appends a checkpoint record at `generation`, which must be an
+  // already-appended generation.
   util::Status AppendCheckpoint(uint64_t generation,
                                 std::string_view state);
 

@@ -26,7 +26,7 @@
 //
 // Determinism: Compute() is a pure function of (psis, alpha); callers
 // assemble psis in group-label order, so delta* is byte-identical
-// across thread counts and across incremental-vs-cold mines.
+// across thread counts.
 
 #include <cstdint>
 #include <vector>
@@ -47,8 +47,7 @@ class TaroneThreshold {
  public:
   // Solves for delta* over one family of testability statistics.
   // Bumps the deterministic stream/tarone_candidates and
-  // stream/tarone_testable work counters (equal for incremental and
-  // cold mines of the same database by construction).
+  // stream/tarone_testable work counters.
   static TaroneResult Compute(std::vector<double> psis, double alpha);
 };
 

@@ -1,10 +1,10 @@
 // Streaming-ingest subsystem tests (src/stream, DESIGN.md §16): the
 // append-only IngestLog (round trips, torn-tail recovery, corruption
-// rejection), the generation-keyed region-cut cache, MineState
-// checkpoint round trips, and the subsystem's headline guarantee —
-// incremental mining after N appends is byte-identical (artifact bytes
-// AND deterministic work-counter dump) to a cold mine of the final
-// database, across thread counts and batch splits.
+// rejection), the IncrementalMiner shell's checkpoint contract, and the
+// guarantee that mining through the stream after N appends is
+// byte-identical (artifact bytes AND deterministic work-counter dump)
+// to a cold mine of the final database, across thread counts and batch
+// splits.
 
 #include <gtest/gtest.h>
 
@@ -25,8 +25,6 @@
 #include "obs/metrics.h"
 #include "stream/incremental.h"
 #include "stream/ingest_log.h"
-#include "stream/mine_state.h"
-#include "stream/region_cut_cache.h"
 #include "util/binary.h"
 
 namespace graphsig::stream {
@@ -176,62 +174,22 @@ TEST(IngestLogTest, RejectsCorruptionInsideRecords) {
 }
 
 // ---------------------------------------------------------------------
-// RegionCutCache generation keying.
-
-TEST(RegionCutCacheTest, StaleGenerationLookupMisses) {
-  RegionCutCache cache;
-  graph::Graph cut;
-  cut.AddVertex(7);
-  cache.Insert({.generation = 1, .graph_index = 0, .node = 2},
-               std::move(cut));
-  ASSERT_EQ(cache.size(), 1u);
-
-  // Same (graph, node) under the generation that introduced the graph:
-  // hit.
-  EXPECT_NE(cache.Lookup({.generation = 1, .graph_index = 0, .node = 2}),
-            nullptr);
-  // Same (graph, node) under a different lineage: miss — a restored
-  // state whose stamps disagree must never be served another log's
-  // cuts.
-  EXPECT_EQ(cache.Lookup({.generation = 2, .graph_index = 0, .node = 2}),
-            nullptr);
-  EXPECT_EQ(cache.Lookup({.generation = 1, .graph_index = 1, .node = 2}),
-            nullptr);
-
-  cache.Clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.Lookup({.generation = 1, .graph_index = 0, .node = 2}),
-            nullptr);
-}
-
-// ---------------------------------------------------------------------
-// MineState checkpoints.
+// IncrementalMiner checkpoints: the config fingerprint.
 
 TEST(MineStateTest, CheckpointRoundTripsThroughRestore) {
-  const graph::GraphDatabase db = SmallScreen(10, 7);
   const core::GraphSigConfig config = SmallConfig(2);
+  const std::string checkpoint = IncrementalMiner(config).Checkpoint();
+  ASSERT_FALSE(checkpoint.empty());
 
-  IncrementalMiner miner(config);
-  std::vector<uint64_t> generations(db.size(), 1);
-  core::GraphSigResult first = miner.Mine(db, generations, 1);
-  const std::string checkpoint = miner.Checkpoint();
-
-  // Same config: restore succeeds and the state round-trips exactly.
-  IncrementalMiner restored(config);
-  auto ok = restored.Restore(checkpoint);
+  // Same config: restore succeeds.
+  auto ok = IncrementalMiner(config).Restore(checkpoint);
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
   EXPECT_TRUE(ok.value());
-  EXPECT_EQ(restored.state().generation, 1u);
-  EXPECT_EQ(restored.state().node_vectors.size(),
-            miner.state().node_vectors.size());
-  EXPECT_EQ(restored.Checkpoint(), checkpoint);
 
-  // Changed mining config: fingerprint mismatch, miner starts cold
-  // (false, not an error).
+  // Changed mining config: false, not an error.
   core::GraphSigConfig other = config;
   other.max_pvalue = 0.05;
-  IncrementalMiner cold(other);
-  auto mismatch = cold.Restore(checkpoint);
+  auto mismatch = IncrementalMiner(other).Restore(checkpoint);
   ASSERT_TRUE(mismatch.ok()) << mismatch.status().ToString();
   EXPECT_FALSE(mismatch.value());
 
@@ -239,30 +197,33 @@ TEST(MineStateTest, CheckpointRoundTripsThroughRestore) {
   // at 2 threads restores at 8.
   core::GraphSigConfig threads = config;
   threads.num_threads = 8;
-  IncrementalMiner rethreaded(threads);
-  auto portable = rethreaded.Restore(checkpoint);
+  auto portable = IncrementalMiner(threads).Restore(checkpoint);
   ASSERT_TRUE(portable.ok());
   EXPECT_TRUE(portable.value());
 
-  // Corrupt bytes are a hard error, not a cold start.
-  std::string corrupt = checkpoint;
-  corrupt.resize(corrupt.size() / 2);
-  EXPECT_FALSE(IncrementalMiner(config).Restore(corrupt).ok());
+  // The old miner's checkpoints opened with a u32 version, the
+  // fingerprint and the generation, then its cached state. Such bytes,
+  // whole or cut short, give false, not an error.
+  util::ByteWriter parent_format;
+  parent_format.WriteU32(1);
+  parent_format.WriteString(checkpoint);
+  parent_format.WriteU64(1);
+  for (size_t size : {parent_format.size(), parent_format.size() / 2,
+                      size_t{0}}) {
+    SCOPED_TRACE("size=" + std::to_string(size));
+    auto old = IncrementalMiner(config).Restore(
+        std::string_view(parent_format.buffer()).substr(0, size));
+    ASSERT_TRUE(old.ok()) << old.status().ToString();
+    EXPECT_FALSE(old.value());
+  }
 }
 
 // ---------------------------------------------------------------------
-// The headline guarantee: incremental == cold, byte for byte.
+// The headline guarantee: mining through the stream == cold, byte for
+// byte, counter dump included.
 
-// Deterministic work counters with the stream/* ingest-accounting
-// names stripped — the one documented divergence between modes.
-std::map<std::string, uint64_t> NonStreamWorkValues() {
-  std::map<std::string, uint64_t> values;
-  for (const auto& [name, value] :
-       obs::MetricsRegistry::Global().WorkValues()) {
-    if (name.rfind("stream/", 0) == 0) continue;
-    values.emplace(name, value);
-  }
-  return values;
+std::map<std::string, uint64_t> WorkValues() {
+  return obs::MetricsRegistry::Global().WorkValues();
 }
 
 std::string ArtifactBytes(core::GraphSigResult result,
@@ -280,9 +241,9 @@ void CheckIncrementalMatchesCold(int num_threads, size_t num_batches) {
   const graph::GraphDatabase db = SmallScreen(20, 11);
   const core::GraphSigConfig config = SmallConfig(num_threads);
 
-  // Incremental: mine after every append; only the final mine's
-  // counters are compared (Reset() zeroes values but keeps every
-  // registered name, so both modes dump the same key set).
+  // Streamed: mine after every append; only the final mine's counters
+  // are compared (Reset() zeroes values but keeps every registered
+  // name, so both modes dump the same key set).
   IncrementalMiner miner(config);
   graph::GraphDatabase cumulative;
   std::vector<uint64_t> generations;
@@ -298,7 +259,7 @@ void CheckIncrementalMatchesCold(int num_threads, size_t num_batches) {
     if (b + 1 < num_batches) {
       miner.Mine(cumulative, generations, generation);
       // Exercise the checkpoint path mid-stream: the final mine runs
-      // from a restored state, exactly like a graphsig_ingest restart.
+      // from a restored miner.
       IncrementalMiner restored(config);
       auto ok = restored.Restore(miner.Checkpoint());
       ASSERT_TRUE(ok.ok()) << ok.status().ToString();
@@ -309,8 +270,7 @@ void CheckIncrementalMatchesCold(int num_threads, size_t num_batches) {
       incremental = miner.Mine(cumulative, generations, generation);
     }
   }
-  const std::map<std::string, uint64_t> inc_counters =
-      NonStreamWorkValues();
+  const std::map<std::string, uint64_t> inc_counters = WorkValues();
   const core::GraphSigStats inc_stats = incremental.stats;
   const std::string inc_bytes = ArtifactBytes(std::move(incremental), db);
 
@@ -318,8 +278,7 @@ void CheckIncrementalMatchesCold(int num_threads, size_t num_batches) {
   obs::MetricsRegistry::Global().Reset();
   core::GraphSig cold(config);
   core::GraphSigResult full = cold.Mine(db);
-  const std::map<std::string, uint64_t> cold_counters =
-      NonStreamWorkValues();
+  const std::map<std::string, uint64_t> cold_counters = WorkValues();
   const core::GraphSigStats cold_stats = full.stats;
   const std::string cold_bytes = ArtifactBytes(std::move(full), db);
 
@@ -346,40 +305,9 @@ TEST(IncrementalMineTest, MatchesColdMineEightThreads) {
   CheckIncrementalMatchesCold(8, 5);
 }
 
-// A one-molecule append leaves most anchor-label groups unchanged, so
-// the final mine replays cached groups and region tasks and takes cuts
-// from the cut cache — reuse paths the even splits above, whose final
-// mine runs from a restored state with an empty cut cache, never reach.
-TEST(IncrementalMineTest, MatchesColdMineWhenReplayingCachedTasks) {
-  graph::GraphDatabase db = SmallScreen(12, 17);
-  const core::GraphSigConfig config = SmallConfig(2);
-  IncrementalMiner miner(config);
-  std::vector<uint64_t> generations(db.size(), 1);
-  miner.Mine(db, generations, 1);
-  db.Add(data::ParseSmiles("CCCC").value());
-  generations.push_back(2);
-
-  obs::MetricsRegistry::Global().Reset();
-  IncrementalMineStats reuse;
-  core::GraphSigResult incremental = miner.Mine(db, generations, 2, &reuse);
-  const auto inc_counters = NonStreamWorkValues();
-  EXPECT_GT(reuse.groups_reused, 0);
-  EXPECT_GT(reuse.fsm_tasks_replayed, 0);
-  EXPECT_GT(reuse.cuts_reused, 0);
-
-  obs::MetricsRegistry::Global().Reset();
-  core::GraphSigResult full = core::GraphSig(config).Mine(db);
-  const auto cold_counters = NonStreamWorkValues();
-
-  EXPECT_EQ(incremental.stats, full.stats);
-  EXPECT_EQ(ArtifactBytes(std::move(incremental), db),
-            ArtifactBytes(std::move(full), db));
-  EXPECT_EQ(inc_counters, cold_counters);
-}
-
 // Tarone mode rides the same guarantee: the solved threshold is a pure
-// function of the family, so incremental and cold agree byte for byte
-// with the correction on.
+// function of the family, so the streamed and cold mines agree byte for
+// byte with the correction on.
 void CheckTaroneIncrementalMatchesCold(uint64_t seed, double alpha) {
   SCOPED_TRACE("seed=" + std::to_string(seed) +
                " alpha=" + std::to_string(alpha));
@@ -401,11 +329,11 @@ void CheckTaroneIncrementalMatchesCold(uint64_t seed, double alpha) {
   }
   obs::MetricsRegistry::Global().Reset();
   core::GraphSigResult incremental = miner.Mine(cumulative, generations, 2);
-  const auto inc_counters = NonStreamWorkValues();
+  const auto inc_counters = WorkValues();
 
   obs::MetricsRegistry::Global().Reset();
   core::GraphSigResult full = core::GraphSig(config).Mine(db);
-  const auto cold_counters = NonStreamWorkValues();
+  const auto cold_counters = WorkValues();
 
   EXPECT_GT(full.stats.tarone_filtered_vectors, 0);
   EXPECT_EQ(incremental.stats, full.stats);
@@ -423,16 +351,15 @@ TEST(IncrementalMineTest, MatchesColdMineWithTarone) {
   CheckTaroneIncrementalMatchesCold(9, 1.0);
 }
 
-// A cold mine is the driver's null-state run: it registers and bumps no
-// stream/* counter. Values are compared before and after, not key
-// presence, so the test holds when other tests in the same process have
-// registered the keys. (Tarone mode is off: its stream/tarone_* work
-// counters belong to both modes.)
+// Mining bumps no stream/* counter, through either entry point. Values
+// are compared before and after, not key presence, so the test holds
+// when other tests in the same process have registered the keys.
+// (Tarone mode is off: its stream/tarone_* work counters count the
+// correction, not the stream.)
 TEST(IncrementalMineTest, ColdMineLeavesStreamCountersUnchanged) {
   const auto stream_values = [] {
     std::map<std::string, uint64_t> values;
-    for (const auto& [name, value] :
-         obs::MetricsRegistry::Global().WorkValues()) {
+    for (const auto& [name, value] : WorkValues()) {
       if (name.rfind("stream/", 0) == 0) values.emplace(name, value);
     }
     return values;
@@ -443,43 +370,8 @@ TEST(IncrementalMineTest, ColdMineLeavesStreamCountersUnchanged) {
   const auto before = stream_values();
   core::GraphSig(config).Mine(db);
   EXPECT_EQ(stream_values(), before);
-
-  // Once an incremental mine has registered and bumped them, a cold
-  // mine still leaves every value where it was.
   IncrementalMiner(config).Mine(db, std::vector<uint64_t>(db.size(), 1), 1);
-  const auto primed = stream_values();
-  ASSERT_NE(primed, before);
-  core::GraphSig(config).Mine(db);
-  EXPECT_EQ(stream_values(), primed);
-}
-
-// Reuse accounting: a second mine over an unchanged-feature-space
-// append reuses the previously featurized graphs.
-TEST(IncrementalMineTest, ReusesFeaturizationWhenSpaceStable) {
-  const graph::GraphDatabase db = SmallScreen(12, 17);
-  const core::GraphSigConfig config = SmallConfig(2);
-
-  IncrementalMiner miner(config);
-  graph::GraphDatabase cumulative;
-  std::vector<uint64_t> generations;
-  for (const graph::Graph& g : db.graphs()) {
-    cumulative.Add(g);
-    generations.push_back(1);
-  }
-  miner.Mine(cumulative, generations, 1);
-
-  // Appending the same batch again scales every label count by the
-  // same factor, so the frequency-ordered feature space is unchanged
-  // and the first batch's RWR vectors replay instead of recomputing.
-  for (const graph::Graph& g : db.graphs()) {
-    cumulative.Add(g);
-    generations.push_back(2);
-  }
-  IncrementalMineStats stats;
-  miner.Mine(cumulative, generations, 2, &stats);
-  EXPECT_FALSE(stats.invalidated_feature_space);
-  EXPECT_EQ(stats.graphs_reused, static_cast<int64_t>(db.size()));
-  EXPECT_EQ(stats.graphs_featurized, static_cast<int64_t>(db.size()));
+  EXPECT_EQ(stream_values(), before);
 }
 
 }  // namespace

@@ -1,36 +1,29 @@
 // graphsig_ingest: the streaming half of the pipeline (DESIGN.md §16).
-// Appends graph batches to an append-only ingest log, then incrementally
-// re-mines the catalog — featurizing only the new graphs, re-evaluating
-// only the anchor-label groups whose priors changed — and writes a model
-// artifact stamped with the log's generation for graphsig_serve to
-// hot-swap in.
+// Appends graph batches to an append-only ingest log, then mines the
+// whole logged database cold with core::GraphSig::Mine and writes a
+// model artifact stamped with the log's generation for graphsig_serve
+// to hot-swap in.
 //
 //   graphsig_ingest --log=FILE [--append=FILE] [--format=smiles|sdf|gspan]
-//                   [--output=model.gsig] [--mine] [--rebuild]
-//                   [--no-checkpoint] [--tarone-alpha=A]
+//                   [--output=model.gsig] [--mine] [--tarone-alpha=A]
 //                   [--max-pvalue=0.1] [--min-freq=0.1] [--radius=8]
 //                   [--fsg-freq=80] [--threads=1 (0 = auto)]
 //                   [--no-frequency] [--metrics-out=FILE]
 //
 // One invocation = append (optional) then mine (when --mine or --output
-// is given). The mine restores the last checkpoint from the log unless
-// --rebuild forces a cold start, and appends a fresh checkpoint after
-// mining unless --no-checkpoint. The incremental result is byte-
-// identical to a cold mine of the full replayed database at any thread
-// count (tests/stream_test.cc holds that line), so --rebuild is a
-// recovery/verification tool, not a correctness knob.
+// is given). The artifact is a pure function of the log's graphs and
+// the mining flags, at any thread count. Checkpoint records in a log
+// written by an older build are skipped.
 
 #include <cstdio>
 
 #include <optional>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "core/graphsig.h"
 #include "graph/statistics.h"
 #include "model/artifact.h"
-#include "stream/incremental.h"
 #include "stream/ingest_log.h"
 #include "tools/tool_util.h"
 
@@ -43,8 +36,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: graphsig_ingest --log=FILE [--append=FILE] "
                  "[--format=smiles|sdf|gspan] [--output=FILE] [--mine] "
-                 "[--rebuild] [--no-checkpoint] [--tarone-alpha=A] "
-                 "[--max-pvalue=P] [--min-freq=F%%] [--radius=R] "
+                 "[--tarone-alpha=A] [--max-pvalue=P] [--min-freq=F%%] "
+                 "[--radius=R] "
                  "[--fsg-freq=F%%] [--threads=N (0 = auto)] "
                  "[--no-frequency] [--metrics-out=FILE]\n");
     return 1;
@@ -60,11 +53,9 @@ int main(int argc, char** argv) {
   auto opened = stream::IngestLog::Open(log_path);
   if (!opened.ok()) tools::Fail(opened.status());
   stream::IngestLog log = std::move(opened).value();
-  std::printf("log %s: %zu batches, generation %llu, checkpoint at %llu\n",
-              log_path.c_str(), log.contents().batches.size(),
-              static_cast<unsigned long long>(log.last_generation()),
-              static_cast<unsigned long long>(
-                  log.contents().checkpoint_generation));
+  std::printf("log %s: %zu batches, generation %llu\n", log_path.c_str(),
+              log.contents().batches.size(),
+              static_cast<unsigned long long>(log.last_generation()));
 
   const std::string append_path = flags.GetString("append", "");
   if (!append_path.empty()) {
@@ -90,57 +81,17 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "error: nothing to mine (log is empty)\n");
       return 1;
     }
-    stream::IncrementalMiner miner(*config);
-    if (!flags.GetBool("rebuild") && !log.contents().checkpoint.empty()) {
-      auto restored = miner.Restore(log.contents().checkpoint);
-      if (!restored.ok()) tools::Fail(restored.status());
-      if (restored.value()) {
-        std::printf("restored checkpoint from generation %llu\n",
-                    static_cast<unsigned long long>(
-                        log.contents().checkpoint_generation));
-      } else {
-        std::printf("checkpoint incompatible with this config; "
-                    "mining cold\n");
-      }
-    }
-
     graph::GraphDatabase db = log.ReplayDatabase();
-    std::vector<uint64_t> graph_generations;
-    graph_generations.reserve(db.size());
-    for (const stream::LogBatch& batch : log.contents().batches) {
-      graph_generations.insert(graph_generations.end(),
-                               batch.graphs.size(), batch.generation);
-    }
     std::printf("mining %s\n", graph::DescribeDatabase(db).c_str());
-
-    stream::IncrementalMineStats inc;
-    core::GraphSigResult result =
-        miner.Mine(db, graph_generations, log.last_generation(), &inc);
-    std::printf(
-        "mined %zu significant subgraphs in %.2fs (featurized %lld "
-        "graphs, reused %lld; mined %lld groups, reused %lld; mined "
-        "%lld region tasks, replayed %lld)\n",
-        result.subgraphs.size(), result.profile.total_seconds,
-        static_cast<long long>(inc.graphs_featurized),
-        static_cast<long long>(inc.graphs_reused),
-        static_cast<long long>(inc.groups_mined),
-        static_cast<long long>(inc.groups_reused),
-        static_cast<long long>(inc.fsm_tasks_mined),
-        static_cast<long long>(inc.fsm_tasks_replayed));
+    core::GraphSigResult result = core::GraphSig(*config).Mine(db);
+    std::printf("mined %zu significant subgraphs in %.2fs\n",
+                result.subgraphs.size(), result.profile.total_seconds);
     if (config->tarone_alpha > 0) {
       std::printf("tarone: family %lld, delta* %.3e, %lld filtered\n",
                   static_cast<long long>(result.stats.tarone_family_size),
                   result.stats.tarone_delta_star,
                   static_cast<long long>(
                       result.stats.tarone_filtered_vectors));
-    }
-
-    if (!flags.GetBool("no-checkpoint")) {
-      util::Status ckpt =
-          log.AppendCheckpoint(log.last_generation(), miner.Checkpoint());
-      if (!ckpt.ok()) tools::Fail(ckpt);
-      std::printf("checkpoint written at generation %llu\n",
-                  static_cast<unsigned long long>(log.last_generation()));
     }
 
     if (!output.empty()) {
