@@ -34,7 +34,6 @@
 #include "features/rwr.h"
 #include "fsm/dfs_code.h"
 #include "fvmine/fvmine.h"
-#include "graph/csr.h"
 #include "graph/isomorphism.h"
 #include "obs/metrics.h"
 #include "stats/pvalue_model.h"
@@ -173,9 +172,9 @@ void RunDominancePhase() {
   registry.GetCounter("micro/dominance/supported")->Add(matches);
 }
 
-// Phase 2: VF2 over CSR-flattened graphs. CountEmbeddings drives the
-// CSR-backed matcher; the library flushes graph/csr_builds and
-// graph/vf2_feasibility_checks, this phase adds the workload shape.
+// Phase 2: VF2. CountEmbeddings drives the matcher over each graph's
+// own adjacency lists; the library flushes graph/vf2_feasibility_checks,
+// this phase adds the workload shape.
 void RunVf2Phase() {
   graph::GraphDatabase db = SmallDb(64);
   graph::Graph motif = data::AztCoreMotif();
@@ -331,17 +330,6 @@ void BM_DominanceScalar(benchmark::State& state) {
                                                w.population.size()));
 }
 BENCHMARK(BM_DominanceScalar);
-
-void BM_CsrBuild(benchmark::State& state) {
-  graph::GraphDatabase db = SmallDb(64);
-  size_t i = 0;
-  for (auto _ : state) {
-    graph::CsrGraph csr(db.graph(i % db.size()));
-    benchmark::DoNotOptimize(csr);
-    ++i;
-  }
-}
-BENCHMARK(BM_CsrBuild);
 
 void BM_CanonicalCode(benchmark::State& state) {
   graph::GraphDatabase db = SmallDb(64);

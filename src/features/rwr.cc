@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "graph/csr.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/check.h"
@@ -78,14 +77,10 @@ namespace {
 
 // Fast path for the unconfined walk (radius <= 0): no window bookkeeping,
 // effective out-degree is the plain degree. This is the hot loop of both
-// GraphSig featurization and query-time classification. Templated over
-// the graph representation: GraphToVectors runs it on CsrGraph (one CSR
-// build amortized over all of a graph's sources), the Graph overload
-// keeps one-off callers working. Both instantiations visit neighbors in
-// the same order, so the float accumulation — and therefore every output
-// byte and the rwr/* work counters — is identical.
-template <typename GraphT>
-std::vector<double> RwrWholeGraph(const GraphT& g,
+// GraphSig featurization and query-time classification. It accumulates
+// floats in neighbor order (Graph::neighbors), so that order is part of
+// every output byte.
+std::vector<double> RwrWholeGraph(const graph::Graph& g,
                                   graph::VertexId source,
                                   const RwrConfig& config) {
   const double alpha = config.restart_prob;
@@ -124,10 +119,9 @@ std::vector<double> RwrWholeGraph(const GraphT& g,
   return p;
 }
 
-// Radius-confined walk (radius > 0); same representation-templating and
-// determinism argument as RwrWholeGraph above.
-template <typename GraphT>
-std::vector<double> RwrConfined(const GraphT& g, graph::VertexId source,
+// Radius-confined walk (radius > 0); same neighbor-order determinism
+// argument as RwrWholeGraph above.
+std::vector<double> RwrConfined(const graph::Graph& g, graph::VertexId source,
                                 const RwrConfig& config) {
   std::vector<bool> in_window(g.num_vertices(), false);
   for (graph::VertexId v : g.VerticesWithinRadius(source, config.radius)) {
@@ -179,30 +173,17 @@ std::vector<double> RwrConfined(const GraphT& g, graph::VertexId source,
   return p;
 }
 
-template <typename GraphT>
-std::vector<double> RwrStationaryImpl(const GraphT& g,
-                                      graph::VertexId source,
-                                      const RwrConfig& config) {
+}  // namespace
+
+std::vector<double> RwrStationaryDistribution(const graph::Graph& g,
+                                              graph::VertexId source,
+                                              const RwrConfig& config) {
   GS_CHECK_GE(source, 0);
   GS_CHECK_LT(source, g.num_vertices());
   GS_CHECK_GT(config.restart_prob, 0.0);
   GS_CHECK_LE(config.restart_prob, 1.0);
   if (config.radius <= 0) return RwrWholeGraph(g, source, config);
   return RwrConfined(g, source, config);
-}
-
-}  // namespace
-
-std::vector<double> RwrStationaryDistribution(const graph::Graph& g,
-                                              graph::VertexId source,
-                                              const RwrConfig& config) {
-  return RwrStationaryImpl(g, source, config);
-}
-
-std::vector<double> RwrStationaryDistribution(const graph::CsrGraph& g,
-                                              graph::VertexId source,
-                                              const RwrConfig& config) {
-  return RwrStationaryImpl(g, source, config);
 }
 
 std::vector<double> RwrFeatureDistribution(const graph::Graph& g,
@@ -267,10 +248,6 @@ std::vector<NodeVector> GraphToVectors(const graph::Graph& g,
                                        const RwrConfig& config) {
   std::vector<NodeVector> out;
   out.reserve(g.num_vertices());
-  // One CSR build serves every source of this graph. The mass
-  // accumulation intentionally stays on the Graph's flat edge list: its
-  // float-add order is part of the byte-identical output contract.
-  const graph::CsrGraph csr(g);
   for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
     NodeVector nv;
     nv.graph_index = graph_index;
@@ -278,8 +255,7 @@ std::vector<NodeVector> GraphToVectors(const graph::Graph& g,
     nv.node_label = g.vertex_label(v);
     const std::vector<double> distribution =
         config.featurizer == Featurizer::kRwr
-            ? AccumulateFeatureMass(
-                  g, RwrStationaryDistribution(csr, v, config), features)
+            ? RwrFeatureDistribution(g, v, features, config)
             : CountFeatureDistribution(g, v, features, config.radius);
     nv.values = Discretize(distribution, config.bins);
     out.push_back(std::move(nv));

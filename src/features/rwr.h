@@ -5,7 +5,6 @@
 
 #include "features/feature_space.h"
 #include "features/feature_vector.h"
-#include "graph/csr.h"
 #include "graph/graph_database.h"
 
 namespace graphsig::features {
@@ -41,13 +40,6 @@ struct RwrConfig {
 // Stationary node-visit distribution of RWR from `source`. Entry v is the
 // stationary probability of the walker standing at v.
 std::vector<double> RwrStationaryDistribution(const graph::Graph& g,
-                                              graph::VertexId source,
-                                              const RwrConfig& config);
-
-// CSR overload: same values, same rwr/* work counters, byte for byte —
-// the power iteration visits neighbors in the same order. GraphToVectors
-// uses this so one CSR build amortizes over all of a graph's sources.
-std::vector<double> RwrStationaryDistribution(const graph::CsrGraph& g,
                                               graph::VertexId source,
                                               const RwrConfig& config);
 

@@ -5,7 +5,6 @@
 
 #include "fsm/dfs_code.h"
 #include "fsm/miner.h"
-#include "graph/csr.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/arena.h"
@@ -24,16 +23,16 @@ int64_t SupportFromPercent(double percent, size_t db_size) {
 namespace {
 
 using graph::AdjEntry;
-using graph::CsrGraph;
+using graph::Graph;
 using graph::GraphDatabase;
 using graph::Label;
 using graph::VertexId;
 
-// One edge of an embedding chain. `edge` points into the per-graph CSR
-// half-edge array; `prev` points into the miner's arena. Walking prev
-// links reconstructs the full embedding of the code. Trivially
-// destructible by design: chains live in the task's Arena and are freed
-// by rewinding, never destroyed.
+// One edge of an embedding chain. `edge` points into an adjacency list
+// of the database graph, which outlives the run; `prev` points into the
+// miner's arena. Walking prev links reconstructs the full embedding of
+// the code. Trivially destructible by design: chains live in the task's
+// Arena and are freed by rewinding, never destroyed.
 struct Emb {
   int32_t gid;
   VertexId from;        // graph vertex the instance starts at
@@ -50,7 +49,7 @@ struct History {
   std::vector<bool> vertex_used;
   std::vector<VertexId> dfs_to_g;
 
-  History(const CsrGraph& g, const DfsCode& code, const Emb* emb) {
+  History(const Graph& g, const DfsCode& code, const Emb* emb) {
     edge_used.assign(g.num_edges(), false);
     vertex_used.assign(g.num_vertices(), false);
     std::vector<const Emb*> chain;
@@ -86,21 +85,14 @@ class GSpanMiner {
       ReportSingleVertices();
     }
 
-    // Flatten every database graph to CSR once; all extension loops and
-    // embedding chains reference these half-edge arrays.
-    csrs_.reserve(db_.size());
-    for (size_t gid = 0; gid < db_.size(); ++gid) {
-      csrs_.emplace_back(db_.graph(gid));
-    }
-
     // Frequent 1-edge seeds, grouped by (from_label, elabel, to_label)
     // with from_label <= to_label; both orientations are kept as
     // embeddings when the endpoint labels are equal. Root embeddings are
     // allocated before any Project frame marks the arena, so they outlive
     // every rewind.
     std::map<std::tuple<Label, Label, Label>, Projected> roots;
-    for (size_t gid = 0; gid < csrs_.size(); ++gid) {
-      const CsrGraph& g = csrs_[gid];
+    for (size_t gid = 0; gid < db_.size(); ++gid) {
+      const Graph& g = db_.graph(gid);
       for (VertexId v = 0; v < g.num_vertices(); ++v) {
         for (const AdjEntry& adj : g.neighbors(v)) {
           if (g.vertex_label(v) > g.vertex_label(adj.to)) continue;
@@ -204,7 +196,7 @@ class GSpanMiner {
     std::map<DfsEdge, Projected, DfsEdgeCmp> extensions;
 
     for (const Emb* emb : projected) {
-      const CsrGraph& g = csrs_[emb->gid];
+      const Graph& g = db_.graph(emb->gid);
       History h(g, code, emb);
       const VertexId rm_g = h.dfs_to_g[maxtoc];
 
@@ -266,8 +258,7 @@ class GSpanMiner {
   const GraphDatabase& db_;
   const MinerConfig config_;
   MineResult result_;
-  std::vector<CsrGraph> csrs_;  // one flat adjacency per database graph
-  util::Arena arena_;           // embedding-chain storage (task-scoped)
+  util::Arena arena_;  // embedding-chain storage (task-scoped)
   util::WallTimer budget_timer_;
   bool stopped_ = false;
 };

@@ -65,6 +65,10 @@ class Graph {
   Label vertex_label(VertexId v) const { return vertex_labels_[v]; }
   const std::vector<Label>& vertex_labels() const { return vertex_labels_; }
 
+  // v's half-edges in edge-index order (AddEdge appends to both ends).
+  // That order is a contract, not an accident: RWR sums floats in it and
+  // gSpan enumerates extensions in it, so every mined and served byte
+  // depends on it.
   const std::vector<AdjEntry>& neighbors(VertexId v) const {
     return adjacency_[v];
   }

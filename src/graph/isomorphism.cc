@@ -3,17 +3,14 @@
 #include <algorithm>
 #include <map>
 
-#include "graph/csr.h"
 #include "obs/metrics.h"
 #include "util/check.h"
 
 namespace graphsig::graph {
 namespace {
 
-// Shared backtracking state for one (pattern, target) match run. Both
-// graphs are flattened to CSR up front so the inner feasibility /
-// candidate loops walk contiguous half-edge arrays (DESIGN.md §14); the
-// visit order, candidate order, and results are unchanged.
+// Shared backtracking state for one (pattern, target) match run. Holds
+// references to both graphs; the caller keeps them alive for the run.
 class Matcher {
  public:
   Matcher(const Graph& pattern, const Graph& target, uint64_t limit)
@@ -160,8 +157,8 @@ class Matcher {
     target_used_[tv] = false;
   }
 
-  const CsrGraph pattern_;
-  const CsrGraph target_;
+  const Graph& pattern_;
+  const Graph& target_;
   const uint64_t limit_;
   std::vector<VertexId> order_;
   std::vector<VertexId> pattern_to_target_;

@@ -24,6 +24,12 @@ constexpr size_t kHeaderSize = kMagicSize + 4;     // magic + version
 constexpr size_t kRecordHeaderSize = 4 + 1 + 8;    // crc + type + size
 constexpr size_t kMinGraphBytes = 20;  // id + tag + two counts
 
+void CountTornTail() {
+  static obs::Counter* const torn =
+      obs::MetricsRegistry::Global().GetCounter("stream/log_torn_tails");
+  torn->Add(1);
+}
+
 std::string FrameRecord(LogRecordType type, std::string_view payload) {
   ByteWriter body;
   body.WriteU8(static_cast<uint8_t>(type));
@@ -185,15 +191,18 @@ Result<IngestLog> IngestLog::Open(const std::string& path) {
       bytes = buffer.str();
     }
   }
-  if (bytes.empty()) {
-    // Fresh log: write the header.
-    ByteWriter w;
-    w.WriteBytes(std::string_view(kLogMagic, kMagicSize));
-    w.WriteU32(kLogFormatVersion);
+  ByteWriter header;
+  header.WriteBytes(std::string_view(kLogMagic, kMagicSize));
+  header.WriteU32(kLogFormatVersion);
+  if (bytes.size() < kHeaderSize &&
+      std::string_view(header.buffer()).starts_with(bytes)) {
+    // Fresh log, or a header torn by a crash while a fresh log was
+    // created: (re)write the header and open the log empty.
+    if (!bytes.empty()) CountTornTail();
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     if (!out) return Status::IoError("cannot create: " + path);
-    out.write(w.buffer().data(),
-              static_cast<std::streamsize>(w.size()));
+    out.write(header.buffer().data(),
+              static_cast<std::streamsize>(header.size()));
     out.flush();
     if (!out) return Status::IoError("write failed: " + path);
     return IngestLog(path, IngestLogContents{.valid_bytes = kHeaderSize});
@@ -203,10 +212,7 @@ Result<IngestLog> IngestLog::Open(const std::string& path) {
     // Cut the partial record off in place so the next append starts
     // clean. Nothing is rewritten, so a crash here cannot shorten the
     // valid prefix.
-    auto& registry = obs::MetricsRegistry::Global();
-    static obs::Counter* const torn =
-        registry.GetCounter("stream/log_torn_tails");
-    torn->Add(1);
+    CountTornTail();
     std::error_code error;
     std::filesystem::resize_file(path, contents.valid_bytes, error);
     if (error) {

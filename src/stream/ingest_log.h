@@ -34,7 +34,10 @@
 // header promises → recoverable, the valid prefix stands) from
 // corruption inside a fully-present record (CRC or payload decode
 // failure → hard error). IngestLog::Open truncates a torn tail away so
-// the next append lands on a clean boundary.
+// the next append lands on a clean boundary. A file shorter than the
+// header that is a prefix of this build's header is a header torn while
+// a fresh log was created: Open rewrites the header and opens the log
+// empty. A short file with any other bytes is a parse error.
 //
 // Decoding is fuzzed (fuzz/fuzz_ingest_log.cc): DecodeIngestLog must
 // return a clean error on arbitrary hostile input, never crash.
@@ -93,8 +96,8 @@ util::Result<IngestLogContents> DecodeIngestLog(std::string_view bytes);
 class IngestLog {
  public:
   // Opens `path`, creating an empty log if absent. A torn tail is
-  // truncated away (and counted in stream/log_torn_tails); any other
-  // decode failure is fatal.
+  // truncated away and a torn header rewritten (both counted in
+  // stream/log_torn_tails); any other decode failure is fatal.
   static util::Result<IngestLog> Open(const std::string& path);
 
   const IngestLogContents& contents() const { return contents_; }

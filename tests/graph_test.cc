@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <sstream>
 
-#include "graph/csr.h"
 #include "graph/graph.h"
 #include "graph/graph_database.h"
 #include "graph/io.h"
-#include "util/rng.h"
 
 namespace graphsig::graph {
 namespace {
@@ -82,89 +80,6 @@ TEST(GraphTest, Connectivity) {
   EXPECT_FALSE(g.IsConnected());
   Graph empty;
   EXPECT_TRUE(empty.IsConnected());
-}
-
-Graph RandomGraph(uint64_t seed, int n, double edge_prob, int num_vlabels,
-                  int num_elabels) {
-  util::Rng rng(seed);
-  Graph g;
-  for (int i = 0; i < n; ++i) {
-    g.AddVertex(static_cast<Label>(rng.NextBounded(num_vlabels)));
-  }
-  for (int u = 0; u < n; ++u) {
-    for (int v = u + 1; v < n; ++v) {
-      if (rng.NextBernoulli(edge_prob)) {
-        g.AddEdge(u, v, static_cast<Label>(rng.NextBounded(num_elabels)));
-      }
-    }
-  }
-  return g;
-}
-
-TEST(GraphTest, CsrRoundTripPreservesAdjacencyOrder) {
-  // The CSR flattening must reproduce the adjacency lists verbatim —
-  // including neighbor ORDER, which downstream FP accumulation relies on.
-  for (uint64_t seed = 0; seed < 20; ++seed) {
-    Graph g = RandomGraph(900 + seed, 12, 0.3, 4, 3);
-    CsrGraph csr(g);
-    ASSERT_EQ(csr.num_vertices(), g.num_vertices());
-    ASSERT_EQ(csr.num_edges(), g.num_edges());
-    EXPECT_EQ(csr.vertex_labels(), g.vertex_labels());
-    for (VertexId v = 0; v < g.num_vertices(); ++v) {
-      EXPECT_EQ(csr.vertex_label(v), g.vertex_label(v));
-      EXPECT_EQ(csr.degree(v), g.degree(v));
-      auto span = csr.neighbors(v);
-      const auto& vec = g.neighbors(v);
-      ASSERT_EQ(span.size(), vec.size());
-      for (size_t k = 0; k < vec.size(); ++k) {
-        EXPECT_EQ(span[k].to, vec[k].to);
-        EXPECT_EQ(span[k].label, vec[k].label);
-        EXPECT_EQ(span[k].edge_index, vec[k].edge_index);
-      }
-    }
-  }
-}
-
-TEST(GraphTest, CsrEdgeLabelBetweenAgrees) {
-  for (uint64_t seed = 0; seed < 10; ++seed) {
-    Graph g = RandomGraph(950 + seed, 10, 0.25, 3, 3);
-    CsrGraph csr(g);
-    for (VertexId u = 0; u < g.num_vertices(); ++u) {
-      for (VertexId v = 0; v < g.num_vertices(); ++v) {
-        EXPECT_EQ(csr.EdgeLabelBetween(u, v), g.EdgeLabelBetween(u, v))
-            << "seed=" << seed << " u=" << u << " v=" << v;
-      }
-    }
-  }
-}
-
-TEST(GraphTest, CsrVerticesWithinRadiusAgrees) {
-  for (uint64_t seed = 0; seed < 10; ++seed) {
-    Graph g = RandomGraph(980 + seed, 14, 0.2, 3, 2);
-    CsrGraph csr(g);
-    for (VertexId v = 0; v < g.num_vertices(); ++v) {
-      for (int radius = 0; radius <= 3; ++radius) {
-        EXPECT_EQ(csr.VerticesWithinRadius(v, radius),
-                  g.VerticesWithinRadius(v, radius))
-            << "seed=" << seed << " v=" << v << " r=" << radius;
-      }
-    }
-  }
-}
-
-TEST(GraphTest, CsrEmptyAndEdgelessGraphs) {
-  Graph empty;
-  CsrGraph csr_empty(empty);
-  EXPECT_EQ(csr_empty.num_vertices(), 0);
-  EXPECT_EQ(csr_empty.num_edges(), 0);
-
-  Graph lone;
-  lone.AddVertex(7);
-  CsrGraph csr_lone(lone);
-  EXPECT_EQ(csr_lone.num_vertices(), 1);
-  EXPECT_EQ(csr_lone.degree(0), 0);
-  EXPECT_TRUE(csr_lone.neighbors(0).empty());
-  EXPECT_EQ(csr_lone.vertex_label(0), 7);
 }
 
 TEST(GraphDatabaseTest, LabelCounts) {

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <vector>
+
 #include "graph/graph.h"
 #include "graph/isomorphism.h"
 #include "util/rng.h"
@@ -129,7 +133,8 @@ TEST(IsomorphismTest, DisconnectedPatternSupported) {
 }
 
 // Property sweep: random connected subgraphs of a random host must always
-// be found; the host must not be found in a strictly smaller pattern.
+// be found; the host must not be found in a strictly smaller pattern; on
+// small random graphs every entry point agrees with brute force.
 class IsomorphismPropertyTest : public ::testing::TestWithParam<int> {};
 
 Graph RandomConnectedGraph(util::Rng* rng, int n, int extra_edges,
@@ -169,6 +174,87 @@ TEST_P(IsomorphismPropertyTest, HostNotInProperSubgraph) {
   for (VertexId v = 0; v + 1 < host.num_vertices(); ++v) most.push_back(v);
   Graph smaller = host.InducedSubgraph(most);
   EXPECT_FALSE(IsSubgraphIsomorphic(host, smaller));
+}
+
+// Labels from {0, 1} on vertices and edges; each vertex pair is joined
+// with probability `edge_prob`, so the graph may be disconnected.
+Graph RandomSmallGraph(util::Rng* rng, int n, double edge_prob) {
+  Graph g;
+  for (int i = 0; i < n; ++i) {
+    g.AddVertex(static_cast<Label>(rng->NextBounded(2)));
+  }
+  for (VertexId u = 0; u < n; ++u) {
+    for (VertexId v = u + 1; v < n; ++v) {
+      if (rng->NextBernoulli(edge_prob)) {
+        g.AddEdge(u, v, static_cast<Label>(rng->NextBounded(2)));
+      }
+    }
+  }
+  return g;
+}
+
+// Every injective map of pattern vertices to target vertices that keeps
+// vertex labels and sends each pattern edge to a target edge with the
+// same label, in lexicographic order. Reads the target's edge list only,
+// never its adjacency lists.
+std::vector<std::vector<VertexId>> BruteForceEmbeddings(const Graph& pattern,
+                                                        const Graph& target) {
+  const int n = target.num_vertices();
+  std::vector<Label> edge_label(static_cast<size_t>(n) * n, -1);
+  for (const EdgeRecord& e : target.edges()) {
+    edge_label[e.u * n + e.v] = e.label;
+    edge_label[e.v * n + e.u] = e.label;
+  }
+  std::vector<std::vector<VertexId>> out;
+  std::vector<VertexId> map;
+  std::vector<bool> used(n, false);
+  auto extend = [&](auto& self) -> void {
+    const VertexId pv = static_cast<VertexId>(map.size());
+    if (pv == pattern.num_vertices()) {
+      for (const EdgeRecord& e : pattern.edges()) {
+        if (edge_label[map[e.u] * n + map[e.v]] != e.label) return;
+      }
+      out.push_back(map);
+      return;
+    }
+    for (VertexId tv = 0; tv < n; ++tv) {
+      if (used[tv] || target.vertex_label(tv) != pattern.vertex_label(pv)) {
+        continue;
+      }
+      used[tv] = true;
+      map.push_back(tv);
+      self(self);
+      map.pop_back();
+      used[tv] = false;
+    }
+  };
+  extend(extend);
+  return out;
+}
+
+TEST_P(IsomorphismPropertyTest, MatchesBruteForceEnumeration) {
+  util::Rng rng(3000 + GetParam());
+  const int target_size = 1 + static_cast<int>(rng.NextBounded(7));
+  const Graph target = RandomSmallGraph(&rng, target_size, 0.5);
+  // No larger than the target, so most misses reach the matcher. Over
+  // the 20 seeds half the pairs hit and six patterns are disconnected.
+  const int pattern_size =
+      1 + static_cast<int>(rng.NextBounded(std::min(5, target_size)));
+  const Graph pattern = RandomSmallGraph(&rng, pattern_size, 0.4);
+  const std::vector<std::vector<VertexId>> expected =
+      BruteForceEmbeddings(pattern, target);
+
+  EXPECT_EQ(CountEmbeddings(pattern, target), expected.size());
+  EXPECT_EQ(IsSubgraphIsomorphic(pattern, target), !expected.empty());
+  std::vector<std::vector<VertexId>> all = FindAllEmbeddings(pattern, target);
+  std::sort(all.begin(), all.end());
+  EXPECT_EQ(all, expected);
+  const std::optional<std::vector<VertexId>> one =
+      FindEmbedding(pattern, target);
+  ASSERT_EQ(one.has_value(), !expected.empty());
+  if (one.has_value()) {
+    EXPECT_TRUE(std::binary_search(expected.begin(), expected.end(), *one));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IsomorphismPropertyTest,

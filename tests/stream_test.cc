@@ -140,6 +140,52 @@ TEST(IngestLogTest, TornTailRecoversValidPrefixAndTruncates) {
   EXPECT_EQ(again.value().last_generation(), 2u);
 }
 
+TEST(IngestLogTest, TornHeaderOpensAsEmptyLog) {
+  const std::string path = testing::TempDir() + "/ingest_torn_header.gsl";
+  const graph::GraphDatabase db = SmallScreen(3, 8);
+  std::string header(kLogMagic, 8);
+  {
+    util::ByteWriter w;
+    w.WriteU32(kLogFormatVersion);
+    header += w.buffer();
+  }
+  ASSERT_EQ(header.size(), 12u);
+  auto write_file = [&](const std::string& bytes) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  };
+
+  // A crash while a fresh log's header was written leaves any 1..11-byte
+  // prefix of it: each opens as an empty log that takes appends.
+  obs::Counter* const torn =
+      obs::MetricsRegistry::Global().GetCounter("stream/log_torn_tails");
+  const uint64_t torn_before = torn->value();
+  for (size_t cut = 1; cut < header.size(); ++cut) {
+    SCOPED_TRACE(cut);
+    write_file(header.substr(0, cut));
+    {
+      auto log = IngestLog::Open(path);
+      ASSERT_TRUE(log.ok()) << log.status().ToString();
+      EXPECT_TRUE(log.value().contents().batches.empty());
+      auto generation = log.value().AppendBatch(db.graphs());
+      ASSERT_TRUE(generation.ok()) << generation.status().ToString();
+      EXPECT_EQ(generation.value(), 1u);
+    }
+    auto reopened = IngestLog::Open(path);
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    ASSERT_EQ(reopened.value().contents().batches.size(), 1u);
+    EXPECT_EQ(reopened.value().contents().batches[0].graphs.size(),
+              db.size());
+  }
+  EXPECT_EQ(torn->value() - torn_before, header.size() - 1);
+
+  // A short file that is not a prefix of the header is not a log.
+  write_file("ABCDE");
+  auto other = IngestLog::Open(path);
+  EXPECT_FALSE(other.ok());
+  EXPECT_EQ(other.status().code(), util::StatusCode::kParseError);
+}
+
 TEST(IngestLogTest, RejectsCorruptionInsideRecords) {
   const graph::GraphDatabase db = SmallScreen(4, 6);
   std::string header(kLogMagic, 8);
