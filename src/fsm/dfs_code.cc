@@ -74,192 +74,6 @@ bool DfsEdgeLess(const DfsEdge& a, const DfsEdge& b) {
          std::tie(b.edge_label, b.to_label);
 }
 
-namespace {
-
-// Embedding of a DFS-code prefix into the pattern graph itself, used by
-// the canonical (minimum) code construction. Patterns are small, so a
-// dense representation is simplest and fast enough.
-struct Emb {
-  std::vector<graph::VertexId> dfs_to_g;  // DFS id -> graph vertex
-  std::vector<bool> edge_used;            // indexed by edge index
-  std::vector<bool> vertex_used;          // indexed by graph vertex
-};
-
-}  // namespace
-
-DfsCode BuildMinDfsCode(const graph::Graph& g) {
-  GS_CHECK_GT(g.num_vertices(), 0);
-  GS_CHECK(g.IsConnected());
-  DfsCode code;
-  if (g.num_edges() == 0) {
-    GS_CHECK_EQ(g.num_vertices(), 1);
-    return code;  // single vertex: empty code
-  }
-
-  // Seed with the minimal (from_label, edge_label, to_label) edge over all
-  // directed instances.
-  using Triple = std::tuple<graph::Label, graph::Label, graph::Label>;
-  Triple best{INT32_MAX, INT32_MAX, INT32_MAX};
-  for (const graph::EdgeRecord& e : g.edges()) {
-    Triple ab{g.vertex_label(e.u), e.label, g.vertex_label(e.v)};
-    Triple ba{g.vertex_label(e.v), e.label, g.vertex_label(e.u)};
-    best = std::min(best, std::min(ab, ba));
-  }
-  code.Push({0, 1, std::get<0>(best), std::get<1>(best), std::get<2>(best)});
-
-  std::vector<Emb> embs;
-  for (int32_t ei = 0; ei < g.num_edges(); ++ei) {
-    const graph::EdgeRecord& e = g.edge(ei);
-    for (int dir = 0; dir < 2; ++dir) {
-      graph::VertexId a = dir == 0 ? e.u : e.v;
-      graph::VertexId b = dir == 0 ? e.v : e.u;
-      if (Triple{g.vertex_label(a), e.label, g.vertex_label(b)} != best) {
-        continue;
-      }
-      Emb emb;
-      emb.dfs_to_g = {a, b};
-      emb.edge_used.assign(g.num_edges(), false);
-      emb.edge_used[ei] = true;
-      emb.vertex_used.assign(g.num_vertices(), false);
-      emb.vertex_used[a] = emb.vertex_used[b] = true;
-      embs.push_back(std::move(emb));
-    }
-  }
-  GS_CHECK(!embs.empty());
-
-  const graph::Label min_label = std::get<0>(best);
-
-  while (static_cast<int32_t>(code.size()) < g.num_edges()) {
-    std::vector<int> rmpath = code.BuildRmPath();
-    const int32_t maxtoc = code[rmpath[0]].to;  // rightmost vertex DFS id
-    const graph::Label rm_vertex_label = code[rmpath[0]].to_label;
-
-    // --- Backward extensions: smallest (to, edge_label) wins. Iterate
-    // rmpath from the root side so 'to' ascends; first hit is minimal in
-    // 'to', then take the minimal edge label for that 'to'.
-    bool extended = false;
-    for (int j = static_cast<int>(rmpath.size()) - 1; j >= 1 && !extended;
-         --j) {
-      const DfsEdge& e1 = code[rmpath[j]];
-      const int32_t to_dfs = e1.from;
-      graph::Label best_elabel = INT32_MAX;
-      for (const Emb& emb : embs) {
-        graph::VertexId rm_g = emb.dfs_to_g[maxtoc];
-        graph::VertexId to_g = emb.dfs_to_g[to_dfs];
-        for (const graph::AdjEntry& adj : g.neighbors(rm_g)) {
-          if (adj.to != to_g) continue;
-          if (emb.edge_used[adj.edge_index]) continue;
-          // Canonical-growth legality (gSpan get_backward): the new
-          // backward edge must not precede the rmpath edge it closes on.
-          if (e1.edge_label < adj.label ||
-              (e1.edge_label == adj.label &&
-               e1.to_label <= rm_vertex_label)) {
-            best_elabel = std::min(best_elabel, adj.label);
-          }
-        }
-      }
-      if (best_elabel == INT32_MAX) continue;
-      // Extend embeddings along the chosen backward edge.
-      std::vector<Emb> next;
-      for (const Emb& emb : embs) {
-        graph::VertexId rm_g = emb.dfs_to_g[maxtoc];
-        graph::VertexId to_g = emb.dfs_to_g[to_dfs];
-        for (const graph::AdjEntry& adj : g.neighbors(rm_g)) {
-          if (adj.to != to_g || adj.label != best_elabel) continue;
-          if (emb.edge_used[adj.edge_index]) continue;
-          Emb copy = emb;
-          copy.edge_used[adj.edge_index] = true;
-          next.push_back(std::move(copy));
-        }
-      }
-      GS_CHECK(!next.empty());
-      code.Push(
-          {maxtoc, to_dfs, rm_vertex_label, best_elabel, e1.from_label});
-      embs = std::move(next);
-      extended = true;
-    }
-    if (extended) continue;
-
-    // --- Forward extensions: largest 'from' wins (rightmost vertex
-    // first, then up the rightmost path), then smallest (elabel, tolabel).
-    struct FwdPick {
-      int32_t from_dfs;
-      graph::Label from_label;
-      graph::Label elabel;
-      graph::Label tolabel;
-    };
-    std::optional<FwdPick> pick;
-
-    auto consider = [&](int32_t from_dfs, graph::Label from_label,
-                        graph::Label elabel, graph::Label tolabel) {
-      if (!pick.has_value() ||
-          std::tie(elabel, tolabel) < std::tie(pick->elabel, pick->tolabel)) {
-        pick = FwdPick{from_dfs, from_label, elabel, tolabel};
-      }
-    };
-
-    // Pure forward from the rightmost vertex.
-    for (const Emb& emb : embs) {
-      graph::VertexId rm_g = emb.dfs_to_g[maxtoc];
-      for (const graph::AdjEntry& adj : g.neighbors(rm_g)) {
-        if (emb.vertex_used[adj.to]) continue;
-        if (g.vertex_label(adj.to) < min_label) continue;
-        consider(maxtoc, rm_vertex_label, adj.label,
-                 g.vertex_label(adj.to));
-      }
-    }
-    // Forward off the rightmost path, from rightmost-1 back to root,
-    // only if the rightmost vertex produced nothing.
-    if (!pick.has_value()) {
-      for (size_t j = 0; j < rmpath.size() && !pick.has_value(); ++j) {
-        const DfsEdge& e1 = code[rmpath[j]];
-        const int32_t from_dfs = e1.from;
-        for (const Emb& emb : embs) {
-          graph::VertexId from_g = emb.dfs_to_g[from_dfs];
-          for (const graph::AdjEntry& adj : g.neighbors(from_g)) {
-            if (emb.vertex_used[adj.to]) continue;
-            graph::Label tolabel = g.vertex_label(adj.to);
-            if (tolabel < min_label) continue;
-            // Legality (gSpan get_forward_rmpath): the branch must not
-            // precede the rmpath edge it shares a source with.
-            if (e1.edge_label < adj.label ||
-                (e1.edge_label == adj.label && e1.to_label <= tolabel)) {
-              consider(from_dfs, e1.from_label, adj.label, tolabel);
-            }
-          }
-        }
-      }
-    }
-    GS_CHECK(pick.has_value());  // connected graph must extend
-
-    const int32_t new_dfs = maxtoc + 1;
-    std::vector<Emb> next;
-    for (const Emb& emb : embs) {
-      graph::VertexId from_g = emb.dfs_to_g[pick->from_dfs];
-      for (const graph::AdjEntry& adj : g.neighbors(from_g)) {
-        if (emb.vertex_used[adj.to]) continue;
-        if (adj.label != pick->elabel) continue;
-        if (g.vertex_label(adj.to) != pick->tolabel) continue;
-        Emb copy = emb;
-        copy.edge_used[adj.edge_index] = true;
-        copy.vertex_used[adj.to] = true;
-        copy.dfs_to_g.push_back(adj.to);
-        next.push_back(std::move(copy));
-      }
-    }
-    GS_CHECK(!next.empty());
-    code.Push({pick->from_dfs, new_dfs, pick->from_label, pick->elabel,
-               pick->tolabel});
-    embs = std::move(next);
-  }
-  return code;
-}
-
-bool IsMinimalDfsCode(const DfsCode& code) {
-  if (code.empty()) return true;
-  return BuildMinDfsCode(code.ToGraph()) == code;
-}
-
 std::string CanonicalCode(const graph::Graph& g) {
   GS_CHECK_GT(g.num_vertices(), 0);
   if (g.num_edges() == 0) {

@@ -65,10 +65,13 @@ class DfsCode {
 bool DfsEdgeLess(const DfsEdge& a, const DfsEdge& b);
 
 // Builds the minimal (canonical) DFS code of a connected graph. Aborts on
-// disconnected or empty input.
+// disconnected or empty input. Defined in gspan.cc: it grows the code
+// with the miner's own rightmost-path extension rule.
 DfsCode BuildMinDfsCode(const graph::Graph& g);
 
-// True iff `code` is its pattern's minimal DFS code.
+// True iff `code` is its pattern's minimal DFS code. Grows the minimum
+// code of code.ToGraph() alongside `code` and stops at the first edge
+// where some traversal reports a smaller one (gSpan's is_min).
 bool IsMinimalDfsCode(const DfsCode& code);
 
 // Canonical string key of a connected graph: ToString() of its minimal

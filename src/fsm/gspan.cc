@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <tuple>
 
@@ -49,6 +50,17 @@ struct History {
   std::vector<bool> vertex_used;
   std::vector<VertexId> dfs_to_g;
 
+  // The embedding of a one-edge code: DFS ids 0 and 1 at `a` and `b`,
+  // joined by edge `edge_index`.
+  History(const Graph& g, VertexId a, VertexId b, int32_t edge_index)
+      : edge_used(g.num_edges(), false),
+        vertex_used(g.num_vertices(), false),
+        dfs_to_g{a, b} {
+    edge_used[edge_index] = true;
+    vertex_used[a] = vertex_used[b] = true;
+  }
+
+  // Expands an embedding chain of `code`.
   History(const Graph& g, const DfsCode& code, const Emb* emb) {
     edge_used.assign(g.num_edges(), false);
     vertex_used.assign(g.num_vertices(), false);
@@ -66,7 +78,164 @@ struct History {
       if (code[i].IsForward()) dfs_to_g[code[i].to] = e->edge->to;
     }
   }
+
+  // This embedding grown by `edge`, which takes half-edge `adj`.
+  History Extended(const DfsEdge& edge, const AdjEntry& adj) const {
+    History next = *this;
+    next.edge_used[adj.edge_index] = true;
+    if (edge.IsForward()) {
+      next.vertex_used[adj.to] = true;
+      next.dfs_to_g.push_back(adj.to);
+    }
+    return next;
+  }
 };
+
+// gSpan's rightmost-path extension rule: reports every legal one-edge
+// child of `code` at embedding `h` in `g` as fn(edge, from, adj), where
+// `from` is the graph vertex the new edge leaves and `adj` its half-edge.
+// Three loops, in this order: backward from the rightmost vertex onto
+// the rightmost path (root side first), pure forward from the rightmost
+// vertex, and forward off the rightmost path (rightmost side first). A
+// forward edge never reaches a vertex labelled below the root, since
+// such a code could not be minimal.
+template <typename Fn>
+void ForEachExtension(const Graph& g, const DfsCode& code,
+                      const std::vector<int>& rmpath, const History& h,
+                      Fn&& fn) {
+  const int32_t maxtoc = code[rmpath[0]].to;
+  const Label rm_vertex_label = code[rmpath[0]].to_label;
+  const Label min_label = code[0].from_label;
+  const VertexId rm_g = h.dfs_to_g[maxtoc];
+
+  for (int j = static_cast<int>(rmpath.size()) - 1; j >= 1; --j) {
+    const DfsEdge& e1 = code[rmpath[j]];
+    const VertexId to_g = h.dfs_to_g[e1.from];
+    for (const AdjEntry& adj : g.neighbors(rm_g)) {
+      if (adj.to != to_g) continue;
+      if (h.edge_used[adj.edge_index]) continue;
+      // The new backward edge must not precede the rightmost-path edge
+      // it closes on.
+      if (e1.edge_label < adj.label ||
+          (e1.edge_label == adj.label && e1.to_label <= rm_vertex_label)) {
+        fn(DfsEdge{maxtoc, e1.from, rm_vertex_label, adj.label,
+                   e1.from_label},
+           rm_g, adj);
+      }
+    }
+  }
+
+  for (const AdjEntry& adj : g.neighbors(rm_g)) {
+    if (h.vertex_used[adj.to]) continue;
+    const Label tolabel = g.vertex_label(adj.to);
+    if (tolabel < min_label) continue;
+    fn(DfsEdge{maxtoc, maxtoc + 1, rm_vertex_label, adj.label, tolabel},
+       rm_g, adj);
+  }
+
+  for (size_t j = 0; j < rmpath.size(); ++j) {
+    const DfsEdge& e1 = code[rmpath[j]];
+    const VertexId from_g = h.dfs_to_g[e1.from];
+    for (const AdjEntry& adj : g.neighbors(from_g)) {
+      if (h.vertex_used[adj.to]) continue;
+      const Label tolabel = g.vertex_label(adj.to);
+      if (tolabel < min_label) continue;
+      // The branch must not precede the rightmost-path edge it shares a
+      // source with.
+      if (e1.edge_label < adj.label ||
+          (e1.edge_label == adj.label && e1.to_label <= tolabel)) {
+        fn(DfsEdge{e1.from, maxtoc + 1, e1.from_label, adj.label, tolabel},
+           from_g, adj);
+      }
+    }
+  }
+}
+
+// Grows the minimum DFS code of the connected graph `g` into the empty
+// `code` one edge at a time, over dense embeddings of the code into `g`
+// itself: each edge is the DfsEdgeLess-smallest extension any embedding
+// reports. With a `target`, the candidate at each position is the
+// target's edge there instead, and growth stops at the first position
+// where an embedding reports a smaller edge or none reports the
+// candidate; the result says whether `code` reached `*target`, whose
+// graph `g` must be. Without a target it always returns true.
+bool GrowMinDfsCode(const Graph& g, const DfsCode* target, DfsCode* code) {
+  // Seed with every directed edge carrying the smallest (from_label,
+  // edge_label, to_label) triple.
+  using Triple = std::tuple<Label, Label, Label>;
+  Triple best{INT32_MAX, INT32_MAX, INT32_MAX};
+  for (const graph::EdgeRecord& e : g.edges()) {
+    Triple ab{g.vertex_label(e.u), e.label, g.vertex_label(e.v)};
+    Triple ba{g.vertex_label(e.v), e.label, g.vertex_label(e.u)};
+    best = std::min(best, std::min(ab, ba));
+  }
+  const DfsEdge first{0, 1, std::get<0>(best), std::get<1>(best),
+                      std::get<2>(best)};
+  if (target != nullptr && (*target)[0] != first) return false;
+  code->Push(first);
+
+  std::vector<History> embs;
+  for (int32_t ei = 0; ei < g.num_edges(); ++ei) {
+    const graph::EdgeRecord& e = g.edge(ei);
+    for (int dir = 0; dir < 2; ++dir) {
+      const VertexId a = dir == 0 ? e.u : e.v;
+      const VertexId b = dir == 0 ? e.v : e.u;
+      if (Triple{g.vertex_label(a), e.label, g.vertex_label(b)} == best) {
+        embs.emplace_back(g, a, b, ei);
+      }
+    }
+  }
+
+  std::vector<History> next_embs;
+  while (static_cast<int32_t>(code->size()) < g.num_edges()) {
+    const std::vector<int> rmpath = code->BuildRmPath();
+    DfsEdge next{};
+    if (target != nullptr) {
+      // One pass decides: a smaller extension anywhere means the target
+      // is not minimal, and the embeddings that take its edge carry on.
+      next = (*target)[code->size()];
+      for (const History& h : embs) {
+        bool smaller = false;
+        ForEachExtension(
+            g, *code, rmpath, h,
+            [&](const DfsEdge& edge, VertexId, const AdjEntry& adj) {
+              if (DfsEdgeLess(edge, next)) {
+                smaller = true;
+              } else if (edge == next) {
+                next_embs.push_back(h.Extended(edge, adj));
+              }
+            });
+        if (smaller) return false;
+      }
+      if (next_embs.empty()) return false;
+    } else {
+      // Pass 1 picks the smallest extension, pass 2 grows the embeddings
+      // that take it.
+      bool found = false;
+      for (const History& h : embs) {
+        ForEachExtension(g, *code, rmpath, h,
+                         [&](const DfsEdge& edge, VertexId, const AdjEntry&) {
+                           if (!found || DfsEdgeLess(edge, next)) {
+                             next = edge;
+                             found = true;
+                           }
+                         });
+      }
+      GS_CHECK(found);  // a connected graph always extends
+      for (const History& h : embs) {
+        ForEachExtension(
+            g, *code, rmpath, h,
+            [&](const DfsEdge& edge, VertexId, const AdjEntry& adj) {
+              if (edge == next) next_embs.push_back(h.Extended(edge, adj));
+            });
+      }
+    }
+    code->Push(next);
+    embs.swap(next_embs);
+    next_embs.clear();
+  }
+  return true;
+}
 
 struct DfsEdgeCmp {
   bool operator()(const DfsEdge& a, const DfsEdge& b) const {
@@ -185,9 +354,6 @@ class GSpanMiner {
     if (static_cast<int32_t>(code.size()) >= config_.max_edges) return;
 
     const std::vector<int> rmpath = code.BuildRmPath();
-    const int32_t maxtoc = code[rmpath[0]].to;
-    const Label rm_vertex_label = code[rmpath[0]].to_label;
-    const Label min_label = code[0].from_label;
 
     // Child embeddings live in this frame's arena region and are freed by
     // rewinding once all child branches have been explored (chains only
@@ -197,53 +363,12 @@ class GSpanMiner {
 
     for (const Emb* emb : projected) {
       const Graph& g = db_.graph(emb->gid);
-      History h(g, code, emb);
-      const VertexId rm_g = h.dfs_to_g[maxtoc];
-
-      // Backward extensions off the rightmost vertex, closing onto a
-      // rightmost-path vertex (root side first).
-      for (int j = static_cast<int>(rmpath.size()) - 1; j >= 1; --j) {
-        const DfsEdge& e1 = code[rmpath[j]];
-        const VertexId to_g = h.dfs_to_g[e1.from];
-        for (const AdjEntry& adj : g.neighbors(rm_g)) {
-          if (adj.to != to_g) continue;
-          if (h.edge_used[adj.edge_index]) continue;
-          if (e1.edge_label < adj.label ||
-              (e1.edge_label == adj.label &&
-               e1.to_label <= rm_vertex_label)) {
-            DfsEdge key{maxtoc, e1.from, rm_vertex_label, adj.label,
-                        e1.from_label};
-            extensions[key].push_back(NewEmb(emb->gid, rm_g, &adj, emb));
-          }
-        }
-      }
-
-      // Pure forward from the rightmost vertex.
-      for (const AdjEntry& adj : g.neighbors(rm_g)) {
-        if (h.vertex_used[adj.to]) continue;
-        const Label tolabel = g.vertex_label(adj.to);
-        if (tolabel < min_label) continue;
-        DfsEdge key{maxtoc, maxtoc + 1, rm_vertex_label, adj.label,
-                    tolabel};
-        extensions[key].push_back(NewEmb(emb->gid, rm_g, &adj, emb));
-      }
-
-      // Forward branching off the rightmost path.
-      for (size_t j = 0; j < rmpath.size(); ++j) {
-        const DfsEdge& e1 = code[rmpath[j]];
-        const VertexId from_g = h.dfs_to_g[e1.from];
-        for (const AdjEntry& adj : g.neighbors(from_g)) {
-          if (h.vertex_used[adj.to]) continue;
-          const Label tolabel = g.vertex_label(adj.to);
-          if (tolabel < min_label) continue;
-          if (e1.edge_label < adj.label ||
-              (e1.edge_label == adj.label && e1.to_label <= tolabel)) {
-            DfsEdge key{e1.from, maxtoc + 1, e1.from_label, adj.label,
-                        tolabel};
-            extensions[key].push_back(NewEmb(emb->gid, from_g, &adj, emb));
-          }
-        }
-      }
+      ForEachExtension(g, code, rmpath, History(g, code, emb),
+                       [&](const DfsEdge& edge, VertexId from,
+                           const AdjEntry& adj) {
+                         extensions[edge].push_back(
+                             NewEmb(emb->gid, from, &adj, emb));
+                       });
     }
 
     for (const auto& [edge, child_projected] : extensions) {
@@ -264,6 +389,24 @@ class GSpanMiner {
 };
 
 }  // namespace
+
+DfsCode BuildMinDfsCode(const Graph& g) {
+  GS_CHECK_GT(g.num_vertices(), 0);
+  GS_CHECK(g.IsConnected());
+  DfsCode code;
+  if (g.num_edges() == 0) {
+    GS_CHECK_EQ(g.num_vertices(), 1);
+    return code;  // single vertex: empty code
+  }
+  GrowMinDfsCode(g, nullptr, &code);
+  return code;
+}
+
+bool IsMinimalDfsCode(const DfsCode& code) {
+  if (code.empty()) return true;
+  DfsCode min_code;
+  return GrowMinDfsCode(code.ToGraph(), &code, &min_code);
+}
 
 MineResult MineFrequentGSpan(const GraphDatabase& db,
                              const MinerConfig& config) {

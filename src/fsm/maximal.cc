@@ -35,44 +35,10 @@ std::vector<Pattern> FilterMaximal(std::vector<Pattern> patterns) {
   return maximal;
 }
 
-std::vector<Pattern> FilterClosed(std::vector<Pattern> patterns) {
-  std::sort(patterns.begin(), patterns.end(),
-            [](const Pattern& a, const Pattern& b) {
-              if (a.graph.num_edges() != b.graph.num_edges()) {
-                return a.graph.num_edges() > b.graph.num_edges();
-              }
-              return a.graph.num_vertices() > b.graph.num_vertices();
-            });
-  std::vector<Pattern> closed;
-  for (const Pattern& p : patterns) {
-    bool absorbed = false;
-    for (const Pattern& q : closed) {
-      const bool strictly_larger =
-          q.graph.num_edges() > p.graph.num_edges() ||
-          (q.graph.num_edges() == p.graph.num_edges() &&
-           q.graph.num_vertices() > p.graph.num_vertices());
-      if (!strictly_larger || q.support != p.support) continue;
-      if (graph::IsSubgraphIsomorphic(p.graph, q.graph)) {
-        absorbed = true;
-        break;
-      }
-    }
-    if (!absorbed) closed.push_back(p);
-  }
-  return closed;
-}
-
 MineResult MineMaximalGSpan(const graph::GraphDatabase& db,
                             const MinerConfig& config) {
   MineResult result = MineFrequentGSpan(db, config);
   result.patterns = FilterMaximal(std::move(result.patterns));
-  return result;
-}
-
-MineResult MineClosedGSpan(const graph::GraphDatabase& db,
-                           const MinerConfig& config) {
-  MineResult result = MineFrequentGSpan(db, config);
-  result.patterns = FilterClosed(std::move(result.patterns));
   return result;
 }
 

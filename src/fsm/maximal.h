@@ -13,20 +13,10 @@ namespace graphsig::fsm {
 // per-set thresholds, where sets are small).
 std::vector<Pattern> FilterMaximal(std::vector<Pattern> patterns);
 
-// Keeps only the closed patterns: those with no super-pattern in the set
-// of EQUAL support (CloseGraph's notion, the graph-space analogue of
-// FVMine's closed vectors). Lossless: every frequent pattern's support
-// is recoverable from the closed set.
-std::vector<Pattern> FilterClosed(std::vector<Pattern> patterns);
-
 // Convenience used by GraphSig's last stage (Algorithm 2, line 13):
 // complete gSpan mining followed by the maximality filter.
 MineResult MineMaximalGSpan(const graph::GraphDatabase& db,
                             const MinerConfig& config);
-
-// Complete gSpan mining followed by the closedness filter.
-MineResult MineClosedGSpan(const graph::GraphDatabase& db,
-                           const MinerConfig& config);
 
 }  // namespace graphsig::fsm
 

@@ -1,5 +1,10 @@
 #include "stream/ingest_log.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -28,6 +33,36 @@ void CountTornTail() {
   static obs::Counter* const torn =
       obs::MetricsRegistry::Global().GetCounter("stream/log_torn_tails");
   torn->Add(1);
+}
+
+// Opens `path` with `flags`, writes all of `bytes` (retrying short
+// writes and EINTR), then fsyncs and closes it. Any failing call comes
+// back as an IoError naming the call, the path and errno's text.
+Status WriteAndSync(const std::string& path, int flags,
+                    std::string_view bytes) {
+  auto failed = [&path](const char* call) {
+    return Status::IoError(util::StrPrintf("%s %s: %s", call, path.c_str(),
+                                           std::strerror(errno)));
+  };
+  const int fd = ::open(path.c_str(), flags | O_CLOEXEC, 0644);
+  if (fd < 0) return failed("open");
+  Status status = Status::Ok();
+  size_t written = 0;
+  while (status.ok() && written < bytes.size()) {
+    const ssize_t n =
+        ::write(fd, bytes.data() + written, bytes.size() - written);
+    if (n >= 0) {
+      written += static_cast<size_t>(n);
+    } else if (errno != EINTR) {
+      status = failed("write");
+    }
+  }
+  if (status.ok() && ::fsync(fd) != 0) status = failed("fsync");
+  // A file, not a socket.
+  if (::close(fd) != 0 && status.ok()) {  // lint:allow=raw-socket
+    status = failed("close");
+  }
+  return status;
 }
 
 std::string FrameRecord(LogRecordType type, std::string_view payload) {
@@ -197,15 +232,17 @@ Result<IngestLog> IngestLog::Open(const std::string& path) {
   if (bytes.size() < kHeaderSize &&
       std::string_view(header.buffer()).starts_with(bytes)) {
     // Fresh log, or a header torn by a crash while a fresh log was
-    // created: (re)write the header and open the log empty.
+    // created: (re)write the header, sync the directory so the file's
+    // entry survives a crash too, and open the log empty.
     if (!bytes.empty()) CountTornTail();
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out) return Status::IoError("cannot create: " + path);
-    out.write(header.buffer().data(),
-              static_cast<std::streamsize>(header.size()));
-    out.flush();
-    if (!out) return Status::IoError("write failed: " + path);
-    return IngestLog(path, IngestLogContents{.valid_bytes = kHeaderSize});
+    GS_RETURN_IF_ERROR(WriteAndSync(path, O_WRONLY | O_CREAT | O_TRUNC,
+                                    header.buffer()));
+    std::string dir = std::filesystem::path(path).parent_path().string();
+    if (dir.empty()) dir = ".";
+    GS_RETURN_IF_ERROR(WriteAndSync(dir, O_RDONLY | O_DIRECTORY, ""));
+    IngestLogContents contents;
+    contents.valid_bytes = kHeaderSize;
+    return IngestLog(path, std::move(contents));
   }
   GS_ASSIGN_OR_RETURN(IngestLogContents contents, DecodeIngestLog(bytes));
   if (contents.torn_tail) {
@@ -219,17 +256,14 @@ Result<IngestLog> IngestLog::Open(const std::string& path) {
       return Status::IoError("truncate failed: " + path + ": " +
                              error.message());
     }
+    GS_RETURN_IF_ERROR(WriteAndSync(path, O_WRONLY, ""));
     contents.torn_tail = false;
   }
   return IngestLog(path, std::move(contents));
 }
 
 Status IngestLog::AppendRecord(std::string_view record) {
-  std::ofstream out(path_, std::ios::binary | std::ios::app);
-  if (!out) return Status::IoError("cannot open for append: " + path_);
-  out.write(record.data(), static_cast<std::streamsize>(record.size()));
-  out.flush();
-  if (!out) return Status::IoError("append failed: " + path_);
+  GS_RETURN_IF_ERROR(WriteAndSync(path_, O_WRONLY | O_APPEND, record));
   contents_.valid_bytes += record.size();
   return Status::Ok();
 }

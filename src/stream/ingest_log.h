@@ -103,7 +103,9 @@ class IngestLog {
   const IngestLogContents& contents() const { return contents_; }
   uint64_t last_generation() const { return contents_.last_generation(); }
 
-  // Appends `graphs` as the next batch and returns its generation.
+  // Appends `graphs` as the next batch and returns its generation. The
+  // record is fsynced before this returns; on an IoError the log's
+  // generation and valid_bytes do not move.
   util::Result<uint64_t> AppendBatch(
       const std::vector<graph::Graph>& graphs);
 

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "fsm/dfs_code.h"
 #include "graph/isomorphism.h"
@@ -178,6 +182,117 @@ TEST_P(CanonicalPropertyTest, CodeAgreesWithIsomorphism) {
   Graph b = RandomConnected(&rng, 7, 3, 2, 2);
   EXPECT_EQ(CanonicalCode(a) == CanonicalCode(b),
             graph::AreIsomorphic(a, b));
+}
+
+// Every DFS code of `g` that extends `code`: grow along the rightmost
+// path with no legality pruning, either backward from the rightmost
+// vertex onto the rightmost path or forward from any rightmost-path
+// vertex to an unvisited vertex, and keep the codes that use every edge.
+void EnumerateCodes(const Graph& g, DfsCode* code,
+                    std::vector<VertexId>* dfs_to_g,
+                    std::vector<int32_t>* g_to_dfs,
+                    std::vector<bool>* edge_used, std::vector<DfsCode>* out) {
+  if (static_cast<int32_t>(code->size()) == g.num_edges()) {
+    out->push_back(*code);
+    return;
+  }
+  const std::vector<int> rmpath = code->BuildRmPath();
+  const int32_t maxtoc = (*code)[rmpath[0]].to;
+  std::vector<int32_t> on_rmpath = {maxtoc};
+  for (int i : rmpath) on_rmpath.push_back((*code)[i].from);
+
+  auto take = [&](const DfsEdge& e, const graph::AdjEntry& adj) {
+    const bool forward = e.IsForward();
+    (*edge_used)[adj.edge_index] = true;
+    if (forward) {
+      dfs_to_g->push_back(adj.to);
+      (*g_to_dfs)[adj.to] = e.to;
+    }
+    code->Push(e);
+    EnumerateCodes(g, code, dfs_to_g, g_to_dfs, edge_used, out);
+    code->Pop();
+    if (forward) {
+      (*g_to_dfs)[adj.to] = -1;
+      dfs_to_g->pop_back();
+    }
+    (*edge_used)[adj.edge_index] = false;
+  };
+
+  const VertexId rm_g = (*dfs_to_g)[maxtoc];
+  for (const graph::AdjEntry& adj : g.neighbors(rm_g)) {
+    const int32_t to = (*g_to_dfs)[adj.to];
+    if ((*edge_used)[adj.edge_index] || to < 0) continue;
+    if (std::find(on_rmpath.begin(), on_rmpath.end(), to) ==
+        on_rmpath.end()) {
+      continue;
+    }
+    take({maxtoc, to, g.vertex_label(rm_g), adj.label,
+          g.vertex_label(adj.to)},
+         adj);
+  }
+  for (int32_t from : on_rmpath) {
+    const VertexId from_g = (*dfs_to_g)[from];
+    for (const graph::AdjEntry& adj : g.neighbors(from_g)) {
+      if ((*g_to_dfs)[adj.to] >= 0) continue;
+      take({from, maxtoc + 1, g.vertex_label(from_g), adj.label,
+            g.vertex_label(adj.to)},
+           adj);
+    }
+  }
+}
+
+std::vector<DfsCode> AllDfsCodes(const Graph& g) {
+  std::vector<DfsCode> out;
+  for (int32_t ei = 0; ei < g.num_edges(); ++ei) {
+    const graph::EdgeRecord& e = g.edge(ei);
+    for (const auto& [a, b] : {std::pair(e.u, e.v), std::pair(e.v, e.u)}) {
+      DfsCode code;
+      code.Push({0, 1, g.vertex_label(a), e.label, g.vertex_label(b)});
+      std::vector<VertexId> dfs_to_g = {a, b};
+      std::vector<int32_t> g_to_dfs(g.num_vertices(), -1);
+      g_to_dfs[a] = 0;
+      g_to_dfs[b] = 1;
+      std::vector<bool> edge_used(g.num_edges(), false);
+      edge_used[ei] = true;
+      EnumerateCodes(g, &code, &dfs_to_g, &g_to_dfs, &edge_used, &out);
+    }
+  }
+  return out;
+}
+
+// gSpan's code order: the first edge by its label triple, every later
+// edge by DfsEdgeLess.
+bool CodeLess(const DfsCode& a, const DfsCode& b) {
+  const auto triple = [](const DfsEdge& e) {
+    return std::tie(e.from_label, e.edge_label, e.to_label);
+  };
+  if (triple(a[0]) != triple(b[0])) return triple(a[0]) < triple(b[0]);
+  for (size_t i = 1; i < a.size(); ++i) {
+    if (DfsEdgeLess(a[i], b[i])) return true;
+    if (DfsEdgeLess(b[i], a[i])) return false;
+  }
+  return false;
+}
+
+TEST_P(CanonicalPropertyTest, MinCodeMatchesBruteForce) {
+  util::Rng rng(5000 + GetParam());
+  for (int t = 0; t < 16; ++t) {
+    const int n = 2 + static_cast<int>(rng.NextBounded(5));
+    const int extra = static_cast<int>(rng.NextBounded(4));
+    const int vl = 1 + static_cast<int>(rng.NextBounded(3));
+    const int el = 1 + static_cast<int>(rng.NextBounded(2));
+    const Graph g = RandomConnected(&rng, n, extra, vl, el);
+    SCOPED_TRACE(g.ToString());
+
+    const std::vector<DfsCode> codes = AllDfsCodes(g);
+    ASSERT_FALSE(codes.empty());
+    const DfsCode min_code =
+        *std::min_element(codes.begin(), codes.end(), CodeLess);
+    EXPECT_EQ(BuildMinDfsCode(g).ToString(), min_code.ToString());
+    for (const DfsCode& c : codes) {
+      EXPECT_EQ(IsMinimalDfsCode(c), c == min_code) << c.ToString();
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CanonicalPropertyTest,

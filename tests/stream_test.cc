@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -184,6 +185,29 @@ TEST(IngestLogTest, TornHeaderOpensAsEmptyLog) {
   auto other = IngestLog::Open(path);
   EXPECT_FALSE(other.ok());
   EXPECT_EQ(other.status().code(), util::StatusCode::kParseError);
+}
+
+TEST(IngestLogTest, FailedAppendLeavesLogUnchanged) {
+  const std::string path = testing::TempDir() + "/ingest_failed_append.gsl";
+  std::filesystem::remove_all(path);
+  const graph::GraphDatabase db = SmallScreen(3, 9);
+  auto log = IngestLog::Open(path);
+  ASSERT_TRUE(log.ok()) << log.status().ToString();
+  ASSERT_TRUE(log.value().AppendBatch(db.graphs()).ok());
+  const size_t valid_bytes = log.value().contents().valid_bytes;
+
+  // A directory where the log file was: the append cannot open it.
+  ASSERT_TRUE(std::filesystem::remove(path));
+  ASSERT_TRUE(std::filesystem::create_directory(path));
+  auto generation = log.value().AppendBatch(db.graphs());
+  ASSERT_FALSE(generation.ok());
+  EXPECT_EQ(generation.status().code(), util::StatusCode::kIoError);
+  EXPECT_NE(generation.status().message().find("open " + path),
+            std::string::npos)
+      << generation.status().ToString();
+  EXPECT_EQ(log.value().last_generation(), 1u);
+  EXPECT_EQ(log.value().contents().valid_bytes, valid_bytes);
+  std::filesystem::remove(path);
 }
 
 TEST(IngestLogTest, RejectsCorruptionInsideRecords) {
