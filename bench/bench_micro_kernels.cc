@@ -70,10 +70,15 @@ void* operator new(std::size_t size) {
   return p;
 }
 void* operator new[](std::size_t size) { return operator new(size); }
+// GCC inlines these into library code, sees free() on memory from
+// operator new and flags a mismatch; the operator new above mallocs it.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace {
 

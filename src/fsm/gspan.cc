@@ -1,14 +1,15 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <deque>
 #include <map>
+#include <span>
 #include <tuple>
 
 #include "fsm/dfs_code.h"
 #include "fsm/miner.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/arena.h"
 #include "util/check.h"
 #include "util/timer.h"
 
@@ -30,10 +31,10 @@ using graph::Label;
 using graph::VertexId;
 
 // One edge of an embedding chain. `edge` points into an adjacency list
-// of the database graph, which outlives the run; `prev` points into the
-// miner's arena. Walking prev links reconstructs the full embedding of
-// the code. Trivially destructible by design: chains live in the task's
-// Arena and are freed by rewinding, never destroyed.
+// of the database graph, which outlives the run; `prev` points at the
+// parent embedding one level up. Walking prev links reconstructs the
+// full embedding of the code. Embeddings live by value in per-level
+// arrays, each of which stays put while chains into it are in use.
 struct Emb {
   int32_t gid;
   VertexId from;        // graph vertex the instance starts at
@@ -41,54 +42,47 @@ struct Emb {
   const Emb* prev;
 };
 
-using Projected = std::vector<const Emb*>;
+// Expanded view of one embedding chain: which graph edges and vertices
+// it uses, and where each DFS id landed. One instance is reloaded per
+// embedding: a vertex or edge is in use iff its stamp is the current
+// one, so a load costs the chain's length, not the graph's size. Stamps
+// are 64-bit, so they never wrap.
+class StampedHistory {
+ public:
+  // Covers graphs of up to `max_vertices` vertices and `max_edges` edges.
+  StampedHistory(int32_t max_vertices, int32_t max_edges)
+      : vertex_stamp_(max_vertices, 0), edge_stamp_(max_edges, 0) {}
 
-// Expanded view of one embedding: which graph edges/vertices it uses and
-// where each DFS id landed.
-struct History {
-  std::vector<bool> edge_used;
-  std::vector<bool> vertex_used;
-  std::vector<VertexId> dfs_to_g;
-
-  // The embedding of a one-edge code: DFS ids 0 and 1 at `a` and `b`,
-  // joined by edge `edge_index`.
-  History(const Graph& g, VertexId a, VertexId b, int32_t edge_index)
-      : edge_used(g.num_edges(), false),
-        vertex_used(g.num_vertices(), false),
-        dfs_to_g{a, b} {
-    edge_used[edge_index] = true;
-    vertex_used[a] = vertex_used[b] = true;
-  }
-
-  // Expands an embedding chain of `code`.
-  History(const Graph& g, const DfsCode& code, const Emb* emb) {
-    edge_used.assign(g.num_edges(), false);
-    vertex_used.assign(g.num_vertices(), false);
-    std::vector<const Emb*> chain;
-    for (const Emb* e = emb; e != nullptr; e = e->prev) chain.push_back(e);
-    std::reverse(chain.begin(), chain.end());
-    GS_CHECK_EQ(chain.size(), code.size());
-    dfs_to_g.assign(code.NumVertices(), -1);
-    for (size_t i = 0; i < chain.size(); ++i) {
-      const Emb* e = chain[i];
-      edge_used[e->edge->edge_index] = true;
-      vertex_used[e->from] = true;
-      vertex_used[e->edge->to] = true;
-      if (i == 0) dfs_to_g[code[0].from] = e->from;
-      if (code[i].IsForward()) dfs_to_g[code[i].to] = e->edge->to;
+  // Expands `emb`, an embedding chain of `code`, whose pattern has
+  // `num_vertices` DFS ids.
+  void Load(const DfsCode& code, int32_t num_vertices, const Emb* emb) {
+    ++stamp_;
+    dfs_to_g_.resize(num_vertices);
+    // The chain runs from code[size - 1] back to code[0], one link each.
+    size_t i = code.size();
+    for (const Emb* e = emb; e != nullptr; e = e->prev) {
+      GS_CHECK_GT(i, 0u);
+      --i;
+      edge_stamp_[e->edge->edge_index] = stamp_;
+      vertex_stamp_[e->from] = stamp_;
+      vertex_stamp_[e->edge->to] = stamp_;
+      if (i == 0) dfs_to_g_[code[0].from] = e->from;
+      if (code[i].IsForward()) dfs_to_g_[code[i].to] = e->edge->to;
     }
+    GS_CHECK_EQ(i, 0u);
   }
 
-  // This embedding grown by `edge`, which takes half-edge `adj`.
-  History Extended(const DfsEdge& edge, const AdjEntry& adj) const {
-    History next = *this;
-    next.edge_used[adj.edge_index] = true;
-    if (edge.IsForward()) {
-      next.vertex_used[adj.to] = true;
-      next.dfs_to_g.push_back(adj.to);
-    }
-    return next;
+  bool edge_used(int32_t edge_index) const {
+    return edge_stamp_[edge_index] == stamp_;
   }
+  bool vertex_used(VertexId v) const { return vertex_stamp_[v] == stamp_; }
+  VertexId dfs_to_g(int32_t dfs_id) const { return dfs_to_g_[dfs_id]; }
+
+ private:
+  std::vector<uint64_t> vertex_stamp_;
+  std::vector<uint64_t> edge_stamp_;
+  std::vector<VertexId> dfs_to_g_;
+  uint64_t stamp_ = 0;
 };
 
 // gSpan's rightmost-path extension rule: reports every legal one-edge
@@ -101,19 +95,19 @@ struct History {
 // such a code could not be minimal.
 template <typename Fn>
 void ForEachExtension(const Graph& g, const DfsCode& code,
-                      const std::vector<int>& rmpath, const History& h,
-                      Fn&& fn) {
+                      const std::vector<int>& rmpath,
+                      const StampedHistory& h, Fn&& fn) {
   const int32_t maxtoc = code[rmpath[0]].to;
   const Label rm_vertex_label = code[rmpath[0]].to_label;
   const Label min_label = code[0].from_label;
-  const VertexId rm_g = h.dfs_to_g[maxtoc];
+  const VertexId rm_g = h.dfs_to_g(maxtoc);
 
   for (int j = static_cast<int>(rmpath.size()) - 1; j >= 1; --j) {
     const DfsEdge& e1 = code[rmpath[j]];
-    const VertexId to_g = h.dfs_to_g[e1.from];
+    const VertexId to_g = h.dfs_to_g(e1.from);
     for (const AdjEntry& adj : g.neighbors(rm_g)) {
       if (adj.to != to_g) continue;
-      if (h.edge_used[adj.edge_index]) continue;
+      if (h.edge_used(adj.edge_index)) continue;
       // The new backward edge must not precede the rightmost-path edge
       // it closes on.
       if (e1.edge_label < adj.label ||
@@ -126,7 +120,7 @@ void ForEachExtension(const Graph& g, const DfsCode& code,
   }
 
   for (const AdjEntry& adj : g.neighbors(rm_g)) {
-    if (h.vertex_used[adj.to]) continue;
+    if (h.vertex_used(adj.to)) continue;
     const Label tolabel = g.vertex_label(adj.to);
     if (tolabel < min_label) continue;
     fn(DfsEdge{maxtoc, maxtoc + 1, rm_vertex_label, adj.label, tolabel},
@@ -135,9 +129,9 @@ void ForEachExtension(const Graph& g, const DfsCode& code,
 
   for (size_t j = 0; j < rmpath.size(); ++j) {
     const DfsEdge& e1 = code[rmpath[j]];
-    const VertexId from_g = h.dfs_to_g[e1.from];
+    const VertexId from_g = h.dfs_to_g(e1.from);
     for (const AdjEntry& adj : g.neighbors(from_g)) {
-      if (h.vertex_used[adj.to]) continue;
+      if (h.vertex_used(adj.to)) continue;
       const Label tolabel = g.vertex_label(adj.to);
       if (tolabel < min_label) continue;
       // The branch must not precede the rightmost-path edge it shares a
@@ -152,7 +146,7 @@ void ForEachExtension(const Graph& g, const DfsCode& code,
 }
 
 // Grows the minimum DFS code of the connected graph `g` into the empty
-// `code` one edge at a time, over dense embeddings of the code into `g`
+// `code` one edge at a time, over the embeddings of the code into `g`
 // itself: each edge is the DfsEdgeLess-smallest extension any embedding
 // reports. With a `target`, the candidate at each position is the
 // target's edge there instead, and growth stops at the first position
@@ -174,79 +168,210 @@ bool GrowMinDfsCode(const Graph& g, const DfsCode* target, DfsCode* code) {
   if (target != nullptr && (*target)[0] != first) return false;
   code->Push(first);
 
-  std::vector<History> embs;
-  for (int32_t ei = 0; ei < g.num_edges(); ++ei) {
-    const graph::EdgeRecord& e = g.edge(ei);
-    for (int dir = 0; dir < 2; ++dir) {
-      const VertexId a = dir == 0 ? e.u : e.v;
-      const VertexId b = dir == 0 ? e.v : e.u;
-      if (Triple{g.vertex_label(a), e.label, g.vertex_label(b)} == best) {
-        embs.emplace_back(g, a, b, ei);
+  // levels[k] holds the embeddings of the code's first k + 1 edges; their
+  // prev links point into levels[k - 1], whose buffer a move keeps.
+  std::vector<std::vector<Emb>> levels(1);
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    for (const AdjEntry& adj : g.neighbors(v)) {
+      if (Triple{g.vertex_label(v), adj.label, g.vertex_label(adj.to)} ==
+          best) {
+        levels[0].push_back({0, v, &adj, nullptr});
       }
     }
   }
 
-  std::vector<History> next_embs;
+  StampedHistory h(g.num_vertices(), g.num_edges());
   while (static_cast<int32_t>(code->size()) < g.num_edges()) {
     const std::vector<int> rmpath = code->BuildRmPath();
+    const int32_t num_vertices = code->NumVertices();
+    std::vector<Emb> grown;
     DfsEdge next{};
     if (target != nullptr) {
       // One pass decides: a smaller extension anywhere means the target
       // is not minimal, and the embeddings that take its edge carry on.
       next = (*target)[code->size()];
-      for (const History& h : embs) {
+      for (const Emb& emb : levels.back()) {
+        h.Load(*code, num_vertices, &emb);
         bool smaller = false;
         ForEachExtension(
             g, *code, rmpath, h,
-            [&](const DfsEdge& edge, VertexId, const AdjEntry& adj) {
+            [&](const DfsEdge& edge, VertexId from, const AdjEntry& adj) {
               if (DfsEdgeLess(edge, next)) {
                 smaller = true;
               } else if (edge == next) {
-                next_embs.push_back(h.Extended(edge, adj));
+                grown.push_back({0, from, &adj, &emb});
               }
             });
         if (smaller) return false;
       }
-      if (next_embs.empty()) return false;
+      if (grown.empty()) return false;
     } else {
-      // Pass 1 picks the smallest extension, pass 2 grows the embeddings
-      // that take it.
-      bool found = false;
-      for (const History& h : embs) {
-        ForEachExtension(g, *code, rmpath, h,
-                         [&](const DfsEdge& edge, VertexId, const AdjEntry&) {
-                           if (!found || DfsEdgeLess(edge, next)) {
-                             next = edge;
-                             found = true;
-                           }
-                         });
-      }
-      GS_CHECK(found);  // a connected graph always extends
-      for (const History& h : embs) {
+      // Keep the embeddings that take the smallest extension seen so far.
+      for (const Emb& emb : levels.back()) {
+        h.Load(*code, num_vertices, &emb);
         ForEachExtension(
             g, *code, rmpath, h,
-            [&](const DfsEdge& edge, VertexId, const AdjEntry& adj) {
-              if (edge == next) next_embs.push_back(h.Extended(edge, adj));
+            [&](const DfsEdge& edge, VertexId from, const AdjEntry& adj) {
+              if (grown.empty() || DfsEdgeLess(edge, next)) {
+                next = edge;
+                grown.clear();
+              } else if (edge != next) {
+                return;
+              }
+              grown.push_back({0, from, &adj, &emb});
             });
       }
+      GS_CHECK(!grown.empty());  // a connected graph always extends
     }
     code->Push(next);
-    embs.swap(next_embs);
-    next_embs.clear();
+    levels.push_back(std::move(grown));
   }
   return true;
 }
 
-struct DfsEdgeCmp {
-  bool operator()(const DfsEdge& a, const DfsEdge& b) const {
-    return DfsEdgeLess(a, b);
+// The children of one search node. Every extension its embeddings report
+// is appended with the index of its DFS edge in an open-addressing key
+// table; each key counts its reports and its support (distinct gids,
+// which arrive in non-decreasing order because every projection keeps
+// its parent's gid order). Group() then orders only the frequent keys
+// and copies their embeddings group by group, in report order, so each
+// child projection is one contiguous span of this frame.
+class Frame {
+ public:
+  struct Child {
+    DfsEdge edge;
+    int64_t support;
+    std::span<const Emb> projected;
+  };
+
+  Frame() : slots_(kInitialSlots, -1) {}
+
+  void Clear() {
+    for (const Key& key : keys_) slots_[key.slot] = -1;
+    keys_.clear();
+    reports_.clear();
+    report_keys_.clear();
   }
+
+  void Add(const DfsEdge& edge, const Emb& emb) {
+    const int32_t k = FindOrInsert(edge);
+    Key& key = keys_[k];
+    ++key.count;
+    if (key.last_gid != emb.gid) {
+      key.last_gid = emb.gid;
+      ++key.support;
+    }
+    reports_.push_back(emb);
+    report_keys_.push_back(k);
+  }
+
+  size_t num_reports() const { return reports_.size(); }
+
+  // Fills children() with the keys of support >= min_support, ordered by
+  // `less` over their DFS edges.
+  template <typename Less>
+  void Group(int64_t min_support, Less less) {
+    children_.clear();
+    frequent_.clear();
+    for (int32_t k = 0; k < static_cast<int32_t>(keys_.size()); ++k) {
+      if (keys_[k].support >= min_support) frequent_.push_back(k);
+    }
+    if (frequent_.empty()) return;
+    std::sort(frequent_.begin(), frequent_.end(),
+              [&](int32_t a, int32_t b) {
+                return less(keys_[a].edge, keys_[b].edge);
+              });
+    size_t total = 0;
+    for (int32_t k : frequent_) {
+      keys_[k].next = total;
+      total += keys_[k].count;
+    }
+    grouped_.resize(total);
+    for (int32_t k : frequent_) {
+      const Key& key = keys_[k];
+      children_.push_back(
+          {key.edge, key.support, {grouped_.data() + key.next, key.count}});
+    }
+    for (size_t i = 0; i < reports_.size(); ++i) {
+      Key& key = keys_[report_keys_[i]];
+      if (key.support >= min_support) grouped_[key.next++] = reports_[i];
+    }
+  }
+
+  const std::vector<Child>& children() const { return children_; }
+
+ private:
+  static constexpr size_t kInitialSlots = 32;  // a power of two
+
+  struct Key {
+    DfsEdge edge;
+    size_t slot;          // its index in slots_
+    int32_t last_gid;     // gid of its latest report
+    int64_t support = 0;  // distinct gids among its reports
+    size_t count = 0;     // its reports
+    size_t next = 0;      // Group(): where its next embedding goes
+  };
+
+  static size_t Hash(const DfsEdge& e) {
+    uint64_t h = static_cast<uint32_t>(e.from);
+    for (int32_t field : {e.to, e.from_label, e.edge_label, e.to_label}) {
+      h = h * 0x9E3779B97F4A7C15ull + static_cast<uint32_t>(field);
+    }
+    return static_cast<size_t>((h * 0x9E3779B97F4A7C15ull) >> 32);
+  }
+
+  // Linear probing at load factor <= 1/2.
+  int32_t FindOrInsert(const DfsEdge& edge) {
+    const size_t mask = slots_.size() - 1;
+    size_t s = Hash(edge) & mask;
+    for (; slots_[s] >= 0; s = (s + 1) & mask) {
+      if (keys_[slots_[s]].edge == edge) return slots_[s];
+    }
+    if (2 * (keys_.size() + 1) > slots_.size()) {
+      Rehash(2 * slots_.size());
+      return FindOrInsert(edge);
+    }
+    const int32_t k = static_cast<int32_t>(keys_.size());
+    slots_[s] = k;
+    keys_.push_back({edge, s, -1});
+    return k;
+  }
+
+  void Rehash(size_t num_slots) {
+    slots_.assign(num_slots, -1);
+    const size_t mask = num_slots - 1;
+    for (int32_t k = 0; k < static_cast<int32_t>(keys_.size()); ++k) {
+      size_t s = Hash(keys_[k].edge) & mask;
+      while (slots_[s] >= 0) s = (s + 1) & mask;
+      slots_[s] = k;
+      keys_[k].slot = s;
+    }
+  }
+
+  std::vector<int32_t> slots_;        // key index, or -1 if empty
+  std::vector<Key> keys_;             // in first-report order
+  std::vector<Emb> reports_;          // child embeddings, report order
+  std::vector<int32_t> report_keys_;  // key index of each report
+  std::vector<int32_t> frequent_;     // Group(): frequent keys, ordered
+  std::vector<Emb> grouped_;          // Group(): reports of frequent keys
+  std::vector<Child> children_;
 };
+
+// A history that covers every graph of `db`.
+StampedHistory HistoryFor(const GraphDatabase& db) {
+  int32_t max_vertices = 0;
+  int32_t max_edges = 0;
+  for (size_t gid = 0; gid < db.size(); ++gid) {
+    max_vertices = std::max(max_vertices, db.graph(gid).num_vertices());
+    max_edges = std::max(max_edges, db.graph(gid).num_edges());
+  }
+  return StampedHistory(max_vertices, max_edges);
+}
 
 class GSpanMiner {
  public:
   GSpanMiner(const GraphDatabase& db, const MinerConfig& config)
-      : db_(db), config_(config) {}
+      : db_(db), config_(config), history_(HistoryFor(db)) {}
 
   MineResult Run() {
     util::WallTimer timer;
@@ -256,33 +381,38 @@ class GSpanMiner {
 
     // Frequent 1-edge seeds, grouped by (from_label, elabel, to_label)
     // with from_label <= to_label; both orientations are kept as
-    // embeddings when the endpoint labels are equal. Root embeddings are
-    // allocated before any Project frame marks the arena, so they outlive
-    // every rewind.
-    std::map<std::tuple<Label, Label, Label>, Projected> roots;
+    // embeddings when the endpoint labels are equal. They form the frame
+    // of the empty code, in gid order.
+    Frame& roots = FrameAt(0);
     for (size_t gid = 0; gid < db_.size(); ++gid) {
       const Graph& g = db_.graph(gid);
       for (VertexId v = 0; v < g.num_vertices(); ++v) {
         for (const AdjEntry& adj : g.neighbors(v)) {
-          if (g.vertex_label(v) > g.vertex_label(adj.to)) continue;
-          roots[{g.vertex_label(v), adj.label, g.vertex_label(adj.to)}]
-              .push_back(NewEmb(static_cast<int32_t>(gid), v, &adj, nullptr));
+          const Label from_label = g.vertex_label(v);
+          const Label to_label = g.vertex_label(adj.to);
+          if (from_label > to_label) continue;
+          roots.Add({0, 1, from_label, adj.label, to_label},
+                    {static_cast<int32_t>(gid), v, &adj, nullptr});
         }
       }
     }
+    embeddings_built_ += roots.num_reports();
+    roots.Group(config_.min_support, [](const DfsEdge& a, const DfsEdge& b) {
+      return std::tie(a.from_label, a.edge_label, a.to_label) <
+             std::tie(b.from_label, b.edge_label, b.to_label);
+    });
 
     DfsCode code;
-    for (const auto& [key, projected] : roots) {
+    for (const Frame::Child& child : roots.children()) {
       if (stopped_) break;
-      code.Push({0, 1, std::get<0>(key), std::get<1>(key),
-                 std::get<2>(key)});
-      Project(code, projected);
+      code.Push(child.edge);
+      Project(code, child.projected, child.support);
       code.Pop();
     }
 
     result_.seconds = timer.ElapsedSeconds();
     result_.completed = !stopped_;
-    result_.embedding_arena_bytes = arena_.bytes_requested();
+    result_.embedding_arena_bytes = sizeof(Emb) * embeddings_built_;
     return std::move(result_);
   }
 
@@ -310,19 +440,11 @@ class GSpanMiner {
     }
   }
 
-  const Emb* NewEmb(int32_t gid, VertexId from, const AdjEntry* edge,
-                    const Emb* prev) {
-    Emb* e = arena_.AllocateArray<Emb>(1);
-    *e = {gid, from, edge, prev};
-    return e;
-  }
-
-  static std::vector<int32_t> DistinctGids(const Projected& projected) {
-    std::vector<int32_t> gids;
-    for (const Emb* e : projected) gids.push_back(e->gid);
-    std::sort(gids.begin(), gids.end());
-    gids.erase(std::unique(gids.begin(), gids.end()), gids.end());
-    return gids;
+  // The frame for the children of codes with `depth` edges. A deque, so
+  // growing it keeps every frame, and the spans into it, in place.
+  Frame& FrameAt(size_t depth) {
+    while (frames_.size() <= depth) frames_.emplace_back();
+    return frames_[depth];
   }
 
   void Emit(Pattern p) {
@@ -330,10 +452,12 @@ class GSpanMiner {
     if (result_.patterns.size() >= config_.max_patterns) stopped_ = true;
   }
 
-  void Project(DfsCode& code, const Projected& projected) {
+  // Explores `code`, a frequent extension with `support` distinct gids
+  // among its embeddings `projected`, which are in non-decreasing gid
+  // order.
+  void Project(DfsCode& code, std::span<const Emb> projected,
+               int64_t support) {
     if (stopped_) return;
-    std::vector<int32_t> gids = DistinctGids(projected);
-    if (static_cast<int64_t>(gids.size()) < config_.min_support) return;
     if (!IsMinimalDfsCode(code)) return;
 
     ++result_.states_expanded;
@@ -346,44 +470,50 @@ class GSpanMiner {
     if (static_cast<int32_t>(code.size()) >= config_.min_edges) {
       Pattern p;
       p.graph = code.ToGraph();
-      p.support = static_cast<int64_t>(gids.size());
-      p.supporting = std::move(gids);
+      p.support = support;
+      for (const Emb& e : projected) {
+        if (p.supporting.empty() || p.supporting.back() != e.gid) {
+          p.supporting.push_back(e.gid);
+        }
+      }
+      GS_CHECK_EQ(static_cast<int64_t>(p.supporting.size()), support);
       Emit(std::move(p));
       if (stopped_) return;
     }
     if (static_cast<int32_t>(code.size()) >= config_.max_edges) return;
 
     const std::vector<int> rmpath = code.BuildRmPath();
-
-    // Child embeddings live in this frame's arena region and are freed by
-    // rewinding once all child branches have been explored (chains only
-    // point parent-ward, so a rewind never strands a live chain).
-    const util::Arena::Mark frame_mark = arena_.Position();
-    std::map<DfsEdge, Projected, DfsEdgeCmp> extensions;
-
-    for (const Emb* emb : projected) {
-      const Graph& g = db_.graph(emb->gid);
-      ForEachExtension(g, code, rmpath, History(g, code, emb),
+    const int32_t num_vertices = code.NumVertices();
+    Frame& frame = FrameAt(code.size());
+    frame.Clear();
+    for (const Emb& emb : projected) {
+      const Graph& g = db_.graph(emb.gid);
+      history_.Load(code, num_vertices, &emb);
+      ForEachExtension(g, code, rmpath, history_,
                        [&](const DfsEdge& edge, VertexId from,
                            const AdjEntry& adj) {
-                         extensions[edge].push_back(
-                             NewEmb(emb->gid, from, &adj, emb));
+                         frame.Add(edge, {emb.gid, from, &adj, &emb});
                        });
     }
+    embeddings_built_ += frame.num_reports();
+    frame.Group(config_.min_support, DfsEdgeLess);
 
-    for (const auto& [edge, child_projected] : extensions) {
+    // The children's own frames sit deeper, so this frame's spans stay
+    // valid while each child's subtree runs.
+    for (const Frame::Child& child : frame.children()) {
       if (stopped_) break;
-      code.Push(edge);
-      Project(code, child_projected);
+      code.Push(child.edge);
+      Project(code, child.projected, child.support);
       code.Pop();
     }
-    arena_.Rewind(frame_mark);
   }
 
   const GraphDatabase& db_;
   const MinerConfig config_;
   MineResult result_;
-  util::Arena arena_;  // embedding-chain storage (task-scoped)
+  StampedHistory history_;
+  std::deque<Frame> frames_;       // frames_[d]: children of a d-edge code
+  uint64_t embeddings_built_ = 0;  // every Emb made, roots included
   util::WallTimer budget_timer_;
   bool stopped_ = false;
 };

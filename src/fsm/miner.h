@@ -40,8 +40,8 @@ struct MineResult {
   bool completed = true;  // false if a cap or the time budget fired
   double seconds = 0.0;
   uint64_t states_expanded = 0;  // search states / candidates evaluated
-  // gSpan only: bytes of embedding-chain scratch served by the task's
-  // arena (deterministic; 0 for the apriori miner).
+  // gSpan only: sizeof one embedding-chain link times the links built,
+  // roots included (deterministic; 0 for the apriori miner).
   uint64_t embedding_arena_bytes = 0;
 };
 

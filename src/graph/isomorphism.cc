@@ -1,7 +1,7 @@
 #include "graph/isomorphism.h"
 
 #include <algorithm>
-#include <map>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "util/check.h"
@@ -53,12 +53,29 @@ class Matcher {
   // Disconnected patterns continue with a fresh rare seed per component.
   void BuildOrder() {
     const int n = pattern_.num_vertices();
-    std::map<Label, int> target_label_count;
-    for (Label l : target_.vertex_labels()) ++target_label_count[l];
-    auto rarity = [&](VertexId v) {
-      auto it = target_label_count.find(pattern_.vertex_label(v));
-      return it == target_label_count.end() ? 0 : it->second;
-    };
+    // Rarity of each pattern vertex: the target's count of its label,
+    // tallied for the pattern's few distinct labels only.
+    std::vector<std::pair<Label, int>> label_count;
+    for (Label l : pattern_.vertex_labels()) {
+      if (std::none_of(label_count.begin(), label_count.end(),
+                       [l](const auto& lc) { return lc.first == l; })) {
+        label_count.push_back({l, 0});
+      }
+    }
+    for (Label l : target_.vertex_labels()) {
+      for (auto& [label, count] : label_count) {
+        if (label == l) {
+          ++count;
+          break;
+        }
+      }
+    }
+    std::vector<int> rarity(n, 0);
+    for (VertexId v = 0; v < n; ++v) {
+      for (const auto& [label, count] : label_count) {
+        if (label == pattern_.vertex_label(v)) rarity[v] = count;
+      }
+    }
 
     std::vector<bool> placed(n, false);
     order_.reserve(n);
@@ -75,7 +92,7 @@ class Matcher {
           if (placed[e.to]) ++attached;
         }
         if (!order_.empty() && attached == 0) continue;
-        int r = rarity(v);
+        int r = rarity[v];
         if (attached > best_attached ||
             (attached == best_attached && r < best_rarity)) {
           best = v;
@@ -87,7 +104,7 @@ class Matcher {
         // All remaining vertices are in untouched components; seed one.
         for (VertexId v = 0; v < n; ++v) {
           if (!placed[v]) {
-            int r = rarity(v);
+            int r = rarity[v];
             if (best < 0 || r < best_rarity) {
               best = v;
               best_rarity = r;

@@ -263,9 +263,22 @@ Result<IngestLog> IngestLog::Open(const std::string& path) {
 }
 
 Status IngestLog::AppendRecord(std::string_view record) {
-  GS_RETURN_IF_ERROR(WriteAndSync(path_, O_WRONLY | O_APPEND, record));
-  contents_.valid_bytes += record.size();
-  return Status::Ok();
+  const Status status = WriteAndSync(path_, O_WRONLY | O_APPEND, record);
+  if (status.ok()) {
+    contents_.valid_bytes += record.size();
+    return status;
+  }
+  // Part of the record may have reached the file (a short write, then
+  // ENOSPC), or all of it before fsync failed. Cut the file back to the
+  // valid prefix, so a retried append lands where this one should have.
+  std::error_code error;
+  std::filesystem::resize_file(path_, contents_.valid_bytes, error);
+  const Status rollback =
+      error ? Status::IoError("truncate " + path_ + ": " + error.message())
+            : WriteAndSync(path_, O_WRONLY, "");
+  if (rollback.ok()) return status;
+  return Status::IoError(status.message() +
+                         "; rolling back failed too: " + rollback.message());
 }
 
 Result<uint64_t> IngestLog::AppendBatch(

@@ -105,7 +105,8 @@ class IngestLog {
 
   // Appends `graphs` as the next batch and returns its generation. The
   // record is fsynced before this returns; on an IoError the log's
-  // generation and valid_bytes do not move.
+  // generation and valid_bytes do not move, and the file is cut back to
+  // valid_bytes (the error says so if that fails too).
   util::Result<uint64_t> AppendBatch(
       const std::vector<graph::Graph>& graphs);
 

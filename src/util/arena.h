@@ -1,12 +1,12 @@
 #ifndef GRAPHSIG_UTIL_ARENA_H_
 #define GRAPHSIG_UTIL_ARENA_H_
 
-// Task-scoped monotonic bump allocator for the mining recursions
-// (DESIGN.md §14). One Arena belongs to one task (one FvMine call, one
-// gSpan projection) and never crosses threads; pointers into it die with
-// the task. Allocation is a pointer bump; freeing happens either all at
-// once (Reset) or stack-wise (Position/Rewind around a recursion frame),
-// which is exactly the shape of a depth-first search: everything a frame
+// Task-scoped monotonic bump allocator for the FVMine recursion
+// (DESIGN.md §14). One Arena belongs to one task (one FvMine call) and
+// never crosses threads; pointers into it die with the task. Allocation
+// is a pointer bump; freeing happens either all at once (Reset) or
+// stack-wise (Position/Rewind around a recursion frame), which is
+// exactly the shape of a depth-first search: everything a frame
 // allocates is dead once the frame's subtree has been explored.
 //
 // Only trivially-destructible types may live here — nothing is ever
@@ -16,7 +16,7 @@
 // bytes_requested()/allocations() tally every request (including ones
 // later rewound). They depend only on the sequence of requests, never on
 // chunk geometry, so they are valid deterministic work counters
-// (DESIGN.md §12) and feed fvmine/arena_* and gspan/embeddings_arena_bytes.
+// (DESIGN.md §12) and feed fvmine/arena_*.
 
 #include <cstddef>
 #include <cstdint>

@@ -3,6 +3,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "fsm/dfs_code.h"
 #include "fsm/maximal.h"
@@ -261,6 +262,77 @@ TEST(GSpanTest, PatternsEmbedInSupportingGraphs) {
       EXPECT_TRUE(graph::IsSubgraphIsomorphic(p.graph, db.graph(gid)));
     }
   }
+}
+
+// Each pattern's supporting list is strictly ascending and names exactly
+// the graphs that contain it, and its support counts that list.
+TEST(GSpanTest, SupportingListsEqualContainingGraphs) {
+  for (int seed = 0; seed < 10; ++seed) {
+    for (int64_t min_support : {2, 3, 5}) {
+      GraphDatabase db = RandomDatabase(5000 + seed, 8, 6, 2, 2, 2);
+      MinerConfig config;
+      config.min_support = min_support;
+      config.max_edges = 4;
+      for (const Pattern& p : MineFrequentGSpan(db, config).patterns) {
+        std::vector<int32_t> containing;
+        for (size_t gid = 0; gid < db.size(); ++gid) {
+          if (graph::IsSubgraphIsomorphic(p.graph, db.graph(gid))) {
+            containing.push_back(static_cast<int32_t>(gid));
+          }
+        }
+        EXPECT_EQ(p.supporting, containing) << "seed " << seed;
+        EXPECT_EQ(p.support, static_cast<int64_t>(p.supporting.size()));
+      }
+    }
+  }
+}
+
+// A run capped at N patterns reports the first N patterns of the full run.
+TEST(GSpanTest, CappedRunIsPrefixOfFullRun) {
+  GraphDatabase db = RandomDatabase(5003, 8, 6, 2, 2, 2);
+  MinerConfig config;
+  config.min_support = 2;
+  config.max_edges = 4;
+  const MineResult full = MineFrequentGSpan(db, config);
+  ASSERT_TRUE(full.completed);
+  const size_t total = full.patterns.size();
+  ASSERT_GT(total, 10u);
+  for (size_t cap : {size_t{1}, size_t{2}, size_t{7}, total / 2, total - 1}) {
+    config.max_patterns = cap;
+    const MineResult capped = MineFrequentGSpan(db, config);
+    EXPECT_FALSE(capped.completed);
+    ASSERT_EQ(capped.patterns.size(), cap);
+    for (size_t i = 0; i < cap; ++i) {
+      EXPECT_EQ(capped.patterns[i].graph, full.patterns[i].graph)
+          << "cap " << cap << ", pattern " << i;
+      EXPECT_EQ(capped.patterns[i].supporting, full.patterns[i].supporting);
+    }
+  }
+}
+
+// Two equal stars whose 40 leaves carry distinct labels: the frame of
+// each first edge reports dozens of distinct extensions, more than the
+// miner's key table starts with room for.
+TEST(GSpanTest, WideFrameMatchesExactCountAndApriori) {
+  constexpr int kLeaves = 40;
+  GraphDatabase db;
+  for (int copy = 0; copy < 2; ++copy) {
+    Graph star(copy);
+    star.AddVertex(0);
+    for (int leaf = 1; leaf <= kLeaves; ++leaf) {
+      star.AddEdge(0, star.AddVertex(leaf), 0);
+    }
+    db.Add(std::move(star));
+  }
+  MinerConfig config;
+  config.min_support = 2;
+  config.max_edges = 2;
+  const MineResult gspan = MineFrequentGSpan(db, config);
+  // Every edge, and every pair of edges.
+  EXPECT_EQ(gspan.patterns.size(),
+            size_t{kLeaves + kLeaves * (kLeaves - 1) / 2});
+  EXPECT_EQ(ToCanonicalMap(gspan),
+            ToCanonicalMap(MineFrequentApriori(db, config)));
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 // splits.
 
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <sys/resource.h>
 
 #include <cstdint>
 #include <cstdio>
@@ -207,6 +209,56 @@ TEST(IngestLogTest, FailedAppendLeavesLogUnchanged) {
       << generation.status().ToString();
   EXPECT_EQ(log.value().last_generation(), 1u);
   EXPECT_EQ(log.value().contents().valid_bytes, valid_bytes);
+  std::filesystem::remove(path);
+}
+
+TEST(IngestLogTest, ShortWriteIsRolledBack) {
+  const std::string path = testing::TempDir() + "/ingest_short_write.gsl";
+  std::filesystem::remove_all(path);
+  const graph::GraphDatabase db = SmallScreen(3, 9);
+  auto log = IngestLog::Open(path);
+  ASSERT_TRUE(log.ok()) << log.status().ToString();
+  ASSERT_TRUE(log.value().AppendBatch(db.graphs()).ok());
+  const size_t valid_bytes = log.value().contents().valid_bytes;
+  const size_t record_bytes = EncodeBatchRecord(2, db.graphs()).size();
+
+  // A file-size limit half way into the next record: the append's first
+  // write stops short at the limit and its next one fails with EFBIG
+  // (SIGXFSZ ignored, so the process lives to see it).
+  struct sigaction ignore = {};
+  ignore.sa_handler = SIG_IGN;
+  struct sigaction old_action = {};
+  ASSERT_EQ(::sigaction(SIGXFSZ, &ignore, &old_action), 0);
+  struct rlimit old_limit = {};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &old_limit), 0);
+  struct rlimit limit = old_limit;
+  limit.rlim_cur = valid_bytes + record_bytes / 2;
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &limit), 0);
+  auto failed = log.value().AppendBatch(db.graphs());
+  const size_t size_after_failure = std::filesystem::file_size(path);
+  EXPECT_EQ(::setrlimit(RLIMIT_FSIZE, &old_limit), 0);
+  EXPECT_EQ(::sigaction(SIGXFSZ, &old_action, nullptr), 0);
+
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), util::StatusCode::kIoError);
+  EXPECT_NE(failed.status().message().find("write " + path),
+            std::string::npos)
+      << failed.status().ToString();
+  EXPECT_EQ(size_after_failure, valid_bytes);
+  EXPECT_EQ(log.value().last_generation(), 1u);
+  EXPECT_EQ(log.value().contents().valid_bytes, valid_bytes);
+
+  // The retry lands where the failed append should have.
+  auto retried = log.value().AppendBatch(db.graphs());
+  ASSERT_TRUE(retried.ok()) << retried.status().ToString();
+  EXPECT_EQ(retried.value(), 2u);
+  auto reopened = IngestLog::Open(path);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  const IngestLogContents& contents = reopened.value().contents();
+  ASSERT_EQ(contents.batches.size(), 2u);
+  EXPECT_EQ(contents.batches[0].generation, 1u);
+  EXPECT_EQ(contents.batches[1].generation, 2u);
+  EXPECT_EQ(contents.valid_bytes, valid_bytes + record_bytes);
   std::filesystem::remove(path);
 }
 
