@@ -43,9 +43,10 @@ namespace {
 
 // --- Global allocation interposition ----------------------------------
 // Counts every operator-new call made while a CountAllocs scope is
-// active. This is how the FVMine phase proves the arena claim: the
-// number of heap allocations during mining (micro/fvmine/mallocs) vs the
-// number of allocation requests the arena absorbed (fvmine/arena_allocs).
+// active. This is how the FVMine phase guards the per-depth scratch
+// reuse: the heap allocations of one mining call (micro/fvmine/mallocs)
+// grow with the search depth and the vectors emitted, not with the
+// states explored (fvmine/expansions).
 std::atomic<uint64_t> g_news{0};
 std::atomic<bool> g_count_news{false};
 
@@ -204,8 +205,8 @@ void RunVf2Phase() {
 
 // Phase 3: one FVMine group mined end to end with the global allocation
 // counter armed. micro/fvmine/mallocs is the heap traffic of the whole
-// mining call; fvmine/arena_allocs (flushed by the miner) is the number
-// of per-state allocations the arena absorbed instead of the heap.
+// mining call: the emitted vectors plus one scratch level per search
+// depth, reused by every state at that depth.
 void RunFvMineAllocPhase() {
   util::Rng rng(11);
   std::vector<features::FeatureVec> population;

@@ -47,7 +47,7 @@ trap cleanup EXIT
   --k=5 --edges=3 --samples=400 --support-samples=64 --seed=11 \
   --threads=2 --metrics-out="$WORK/sample_metrics.json" >/dev/null
 
-# Per-kernel counter phases (packed dominance, VF2, FVMine arena):
+# Per-kernel counter phases (packed dominance, VF2, FVMine heap traffic):
 # fixed seeds, work counters only — wall clock never recorded.
 "$BUILD/bench/bench_micro_kernels" \
   --counters-out="$WORK/micro_metrics.json" >/dev/null

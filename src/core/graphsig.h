@@ -2,7 +2,6 @@
 #define GRAPHSIG_CORE_GRAPHSIG_H_
 
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "features/feature_space.h"
@@ -25,12 +24,10 @@ struct GraphSigConfig {
   // The frequency threshold is relative to the anchor-label group D_a
   // each FVMine call runs on — this is what lets GraphSig surface
   // patterns around rare atoms (Sb/Bi, Fig. 15) whose global frequency
-  // is far below any workable database-wide threshold.
+  // is far below any workable database-wide threshold. The support
+  // threshold has an absolute floor of 3 (core/mine_pipeline.cc).
   double max_pvalue = 0.1;
   double min_freq_percent = 0.1;
-  // Absolute floor under the relative threshold (tiny groups would
-  // otherwise mine "patterns" supported by a single region).
-  int64_t min_support_floor = 3;
 
   // Region extraction: CutGraph radius (Table IV: 8) and the relative
   // frequency threshold for maximal FSM on each region set (Table IV:
@@ -38,23 +35,12 @@ struct GraphSigConfig {
   int cutoff_radius = 8;
   double fsg_freq_percent = 80.0;
 
-  // Engineering guards. A region set needs at least `min_set_size`
-  // regions to be mined (a high relative threshold over one graph would
-  // degenerate to support 1 and enumerate everything); `fsm_max_edges`
-  // bounds pattern size inside region mining.
-  size_t min_set_size = 3;
+  // Bounds pattern size inside region mining. The region-set guards
+  // (minimum set size, subsample size, pattern cap) are constants in
+  // core/mine_pipeline.cc.
   int32_t fsm_max_edges = 25;
-  size_t fsm_max_patterns = 100000;
-  // Large region sets are evenly subsampled to this many regions before
-  // maximal FSM; the 80% relative threshold is computed on the sample.
-  // A pattern present in >= 80% of the set is present in ~80% of any
-  // even sample, so this bounds per-set mining cost without changing
-  // which cores surface.
-  size_t max_regions_per_set = 128;
 
-  // Caps forwarded to FVMine.
-  size_t fvmine_max_results = std::numeric_limits<size_t>::max();
-  double fvmine_budget_seconds = std::numeric_limits<double>::infinity();
+  // FVMine's optimistic ceiling prune (an ablation when off).
   bool use_ceiling_prune = true;
 
   // Family-wise error control (stream/tarone.h): > 0 runs FVMine in

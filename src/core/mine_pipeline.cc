@@ -23,6 +23,26 @@ using features::NodeVector;
 using graph::GraphDatabase;
 using graph::Label;
 
+namespace {
+
+// Absolute floor under the group-relative FVMine support threshold:
+// tiny groups would otherwise mine "patterns" supported by one region.
+constexpr int64_t kMinSupportFloor = 3;
+// A region set needs at least this many regions to be mined: a high
+// relative threshold over one graph would degenerate to support 1 and
+// enumerate everything.
+constexpr size_t kMinSetSize = 3;
+// Large region sets are evenly subsampled to this many regions before
+// maximal FSM; the 80% relative threshold is computed on the sample. A
+// pattern present in >= 80% of the set is present in ~80% of any even
+// sample, so this bounds per-set mining cost without changing which
+// cores surface.
+constexpr size_t kMaxRegionsPerSet = 128;
+// Cap on the patterns one region set's gSpan run may report.
+constexpr size_t kMaxPatternsPerSet = 100000;
+
+}  // namespace
+
 std::vector<std::pair<Label, std::vector<int32_t>>> GroupByAnchorLabel(
     const std::vector<NodeVector>& node_vectors) {
   std::map<Label, std::vector<int32_t>> groups;
@@ -43,7 +63,7 @@ GroupMineOutput MineLabelGroup(const GraphSigConfig& config,
   GroupMineOutput out;
   // Group-relative frequency threshold (see GraphSigConfig).
   const int64_t min_support = std::max<int64_t>(
-      config.min_support_floor,
+      kMinSupportFloor,
       static_cast<int64_t>(
           std::ceil(config.min_freq_percent / 100.0 * members.size())));
   if (static_cast<int64_t>(members.size()) < min_support) return out;
@@ -57,8 +77,6 @@ GroupMineOutput MineLabelGroup(const GraphSigConfig& config,
   fvmine::FvMineConfig fv_config;
   fv_config.min_support = min_support;
   fv_config.max_pvalue = config.max_pvalue;
-  fv_config.max_results = config.fvmine_max_results;
-  fv_config.budget_seconds = config.fvmine_budget_seconds;
   fv_config.use_ceiling_prune = config.use_ceiling_prune;
   fv_config.tarone_alpha = config.tarone_alpha;
   fvmine::FvMineResult mined = fvmine::FvMine(population, priors, fv_config);
@@ -77,23 +95,23 @@ int64_t RegionCutKey(int32_t graph_index, graph::VertexId node) {
 }
 
 RegionPlan PlanRegionTasks(
-    const GraphSigConfig& config,
+    const GraphSigConfig& /*config*/,
     const std::vector<std::pair<Label, fvmine::SignificantVector>>&
         significant,
     const std::vector<NodeVector>& node_vectors) {
   RegionPlan plan;
   for (size_t v = 0; v < significant.size(); ++v) {
     const auto& [label, sv] = significant[v];
-    if (sv.supporting.size() < config.min_set_size) continue;
+    if (sv.supporting.size() < kMinSetSize) continue;
     RegionTask task;
     task.label = label;
     task.sv_index = static_cast<int32_t>(v);
-    // Evenly subsample oversized sets (see max_regions_per_set).
-    if (sv.supporting.size() > config.max_regions_per_set) {
-      task.chosen.reserve(config.max_regions_per_set);
+    // Evenly subsample oversized sets (see kMaxRegionsPerSet).
+    if (sv.supporting.size() > kMaxRegionsPerSet) {
+      task.chosen.reserve(kMaxRegionsPerSet);
       const double stride = static_cast<double>(sv.supporting.size()) /
-                            static_cast<double>(config.max_regions_per_set);
-      for (size_t k = 0; k < config.max_regions_per_set; ++k) {
+                            static_cast<double>(kMaxRegionsPerSet);
+      for (size_t k = 0; k < kMaxRegionsPerSet; ++k) {
         task.chosen.push_back(
             sv.supporting[static_cast<size_t>(k * stride)]);
       }
@@ -144,7 +162,7 @@ RegionTaskOutput MineRegionTask(const GraphSigConfig& config, Label label,
       2,
       fsm::SupportFromPercent(config.fsg_freq_percent, regions.size()));
   miner_config.max_edges = config.fsm_max_edges;
-  miner_config.max_patterns = config.fsm_max_patterns;
+  miner_config.max_patterns = kMaxPatternsPerSet;
   fsm::MineResult mined = fsm::MineMaximalGSpan(regions, miner_config);
   if (mined.patterns.empty()) {
     // False positive: similar vectors, no common structure (the line-13

@@ -70,7 +70,9 @@ struct RegionPlan {
 int64_t RegionCutKey(int32_t graph_index, graph::VertexId node);
 
 // Serial pass 1: selects each vector's region sample and dedups the
-// cuts. Bumps the mine/region_cache_hits|misses work counters.
+// cuts. Bumps the mine/region_cache_hits|misses work counters. The set
+// size bounds are constants, so `config` is not read; it is kept so
+// every pass takes the same arguments.
 RegionPlan PlanRegionTasks(
     const GraphSigConfig& config,
     const std::vector<std::pair<graph::Label, fvmine::SignificantVector>>&

@@ -22,6 +22,13 @@ using graph::VertexId;
 // occurrence already exposes them; the cap guards pathological symmetry.
 constexpr uint64_t kEmbeddingCap = 256;
 
+// Candidate generation enumerates extensions from at most this many
+// supporting graphs per pattern. Candidates are purely structural and a
+// frequent extension occurs in >= min_support of the parent's supporting
+// graphs, so a few dozen generators see it with near-certainty; support
+// counting afterwards is always exact.
+constexpr size_t kGenerationSample = 32;
+
 struct Candidate {
   Graph graph;
   std::vector<int32_t> tids;  // superset of possible supporting graphs
@@ -151,7 +158,7 @@ MineResult MineFrequentApriori(const GraphDatabase& db,
       if (stopped || over_budget()) break;
       size_t generators = 0;
       for (int32_t gid : p.supporting) {
-        if (generators++ >= config.apriori_generation_sample) break;
+        if (generators++ >= kGenerationSample) break;
         const Graph& host = db.graph(gid);
         auto embeddings =
             graph::FindAllEmbeddings(p.graph, host, kEmbeddingCap);

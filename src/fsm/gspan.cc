@@ -396,7 +396,7 @@ class GSpanMiner {
         }
       }
     }
-    embeddings_built_ += roots.num_reports();
+    result_.embeddings_built += roots.num_reports();
     roots.Group(config_.min_support, [](const DfsEdge& a, const DfsEdge& b) {
       return std::tie(a.from_label, a.edge_label, a.to_label) <
              std::tie(b.from_label, b.edge_label, b.to_label);
@@ -412,7 +412,6 @@ class GSpanMiner {
 
     result_.seconds = timer.ElapsedSeconds();
     result_.completed = !stopped_;
-    result_.embedding_arena_bytes = sizeof(Emb) * embeddings_built_;
     return std::move(result_);
   }
 
@@ -495,7 +494,7 @@ class GSpanMiner {
                          frame.Add(edge, {emb.gid, from, &adj, &emb});
                        });
     }
-    embeddings_built_ += frame.num_reports();
+    result_.embeddings_built += frame.num_reports();
     frame.Group(config_.min_support, DfsEdgeLess);
 
     // The children's own frames sit deeper, so this frame's spans stay
@@ -512,8 +511,7 @@ class GSpanMiner {
   const MinerConfig config_;
   MineResult result_;
   StampedHistory history_;
-  std::deque<Frame> frames_;       // frames_[d]: children of a d-edge code
-  uint64_t embeddings_built_ = 0;  // every Emb made, roots included
+  std::deque<Frame> frames_;  // frames_[d]: children of a d-edge code
   util::WallTimer budget_timer_;
   bool stopped_ = false;
 };
@@ -551,11 +549,11 @@ MineResult MineFrequentGSpan(const GraphDatabase& db,
       registry.GetCounter("gspan/candidates");
   static obs::Counter* const patterns =
       registry.GetCounter("gspan/patterns");
-  static obs::Counter* const arena_bytes =
-      registry.GetCounter("gspan/embeddings_arena_bytes");
+  static obs::Counter* const embeddings =
+      registry.GetCounter("gspan/embeddings");
   candidates->Add(result.states_expanded);
   patterns->Add(result.patterns.size());
-  arena_bytes->Add(result.embedding_arena_bytes);
+  embeddings->Add(result.embeddings_built);
   span.AddWork(result.states_expanded);
   return result;
 }

@@ -27,12 +27,6 @@ struct MinerConfig {
   double budget_seconds = std::numeric_limits<double>::infinity();
   // Also report frequent single-vertex patterns (min_edges permitting).
   bool include_single_vertices = false;
-  // Apriori miner only: candidate generation enumerates extensions from at
-  // most this many supporting graphs per pattern. Candidates are purely
-  // structural and a frequent extension occurs in >= min_support of the
-  // parent's supporting graphs, so a few dozen generators see it with
-  // near-certainty; support counting afterwards is always exact.
-  size_t apriori_generation_sample = 32;
 };
 
 struct MineResult {
@@ -40,9 +34,9 @@ struct MineResult {
   bool completed = true;  // false if a cap or the time budget fired
   double seconds = 0.0;
   uint64_t states_expanded = 0;  // search states / candidates evaluated
-  // gSpan only: sizeof one embedding-chain link times the links built,
-  // roots included (deterministic; 0 for the apriori miner).
-  uint64_t embedding_arena_bytes = 0;
+  // gSpan only: embeddings built, roots included (deterministic; 0 for
+  // the apriori miner).
+  uint64_t embeddings_built = 0;
 };
 
 // ceil(relative * db_size / 100) clamped to >= 1 — converts the paper's

@@ -1,11 +1,11 @@
 #include "fvmine/fvmine.h"
 
 #include <algorithm>
+#include <deque>
 #include <span>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/arena.h"
 #include "util/check.h"
 #include "util/timer.h"
 
@@ -25,8 +25,6 @@ struct FvMineMetrics {
   obs::Counter* ceiling_prunes;   // subtrees cut by the optimistic bound
   obs::Counter* duplicate_prunes; // states reachable from earlier branches
   obs::Counter* significant;      // vectors emitted
-  obs::Counter* arena_bytes;      // recursion scratch served by the arena
-  obs::Counter* arena_allocs;     // arena requests (vs heap mallocs: ~0)
 
   static const FvMineMetrics& Get() {
     auto& registry = obs::MetricsRegistry::Global();
@@ -35,9 +33,7 @@ struct FvMineMetrics {
         registry.GetCounter("fvmine/support_checks"),
         registry.GetCounter("fvmine/ceiling_prunes"),
         registry.GetCounter("fvmine/duplicate_prunes"),
-        registry.GetCounter("fvmine/significant_vectors"),
-        registry.GetCounter("fvmine/arena_bytes"),
-        registry.GetCounter("fvmine/arena_allocs")};
+        registry.GetCounter("fvmine/significant_vectors")};
     return m;
   }
 };
@@ -62,12 +58,12 @@ class Searcher {
   FvMineResult Run() {
     GS_TRACE_SPAN_NAMED(span, "mine/fvmine");
     const size_t n = population_.size();
-    int32_t* all = arena_.AllocateArray<int32_t>(n);
+    std::vector<int32_t> all(n);
     for (size_t i = 0; i < n; ++i) all[i] = static_cast<int32_t>(i);
-    uint64_t* x = arena_.AllocateArray<uint64_t>(words_);
-    population_.FloorInto({all, n}, x, &ops_);
+    std::vector<uint64_t> x(words_);
+    population_.FloorInto(all, x.data(), &ops_);
     if (static_cast<int64_t>(n) >= config_.min_support) {
-      Search(x, {all, n}, 0);
+      Search(x.data(), all, 0, 0);
     }
     result_.completed = !stopped_;
     span.AddWork(static_cast<uint64_t>(result_.states_explored));
@@ -77,8 +73,6 @@ class Searcher {
     m.ceiling_prunes->Add(ceiling_prunes_);
     m.duplicate_prunes->Add(duplicate_prunes_);
     m.significant->Add(result_.vectors.size());
-    m.arena_bytes->Add(arena_.bytes_requested());
-    m.arena_allocs->Add(arena_.allocations());
     features::FlushPackedOpStats(ops_);
     return std::move(result_);
   }
@@ -91,11 +85,27 @@ class Searcher {
                : priors_.PValue(slice, support);
   }
 
+  // Scratch for the children of one search depth: S' and x' of the
+  // branch being tried. Every sibling branch at that depth reuses it.
+  struct Level {
+    std::vector<int32_t> support;
+    std::vector<uint64_t> floor;
+  };
+
+  // The level for the children of a state at `depth`. A deque, so
+  // growing it keeps every level, and the spans into it, in place.
+  Level& LevelAt(size_t depth) {
+    while (levels_.size() <= depth) {
+      levels_.push_back({{}, std::vector<uint64_t>(words_)});
+    }
+    return levels_[depth];
+  }
+
   // Algorithm 1: x is the current closed vector (floor of S, packed), S
-  // its supporting set, b the first feature position allowed to grow.
-  // All per-frame scratch (S', x') lives in the arena and is rewound
-  // when the frame's subtree is done.
-  void Search(const uint64_t* x, std::span<const int32_t> s, size_t b) {
+  // its supporting set, b the first feature position allowed to grow,
+  // and `depth` the number of growth steps from the root.
+  void Search(const uint64_t* x, std::span<const int32_t> s, size_t b,
+              size_t depth) {
     if (stopped_) return;
     ++result_.states_explored;
     if ((result_.states_explored & 0xff) == 0 &&
@@ -123,21 +133,21 @@ class Searcher {
       }
     }
 
+    // Every S' is a subset of S, so one buffer of |S| slots serves them
+    // all; it only ever grows.
+    Level& level = LevelAt(depth);
+    if (level.support.size() < s.size()) level.support.resize(s.size());
+    int32_t* s_prime = level.support.data();
+    uint64_t* x_prime = level.floor.data();
     for (size_t i = b; i < width_; ++i) {
       // S' = vectors of S strictly above x on feature i.
       ++support_checks_;
-      const util::Arena::Mark mark = arena_.Position();
-      int32_t* s_prime = arena_.AllocateArray<int32_t>(s.size());
       size_t s_prime_size = 0;
       const int16_t x_i = PackedSlice{x, width_}.slot(i);
       for (int32_t idx : s) {
         if (population_.at(idx, i) > x_i) s_prime[s_prime_size++] = idx;
       }
-      if (static_cast<int64_t>(s_prime_size) < config_.min_support) {
-        arena_.Rewind(mark);
-        continue;
-      }
-      uint64_t* x_prime = arena_.AllocateArray<uint64_t>(words_);
+      if (static_cast<int64_t>(s_prime_size) < config_.min_support) continue;
       population_.FloorInto({s_prime, s_prime_size}, x_prime, &ops_);
       // Duplicate state: if the floor also rose on a feature before i,
       // this state is reachable from an earlier branch. Since S' ⊆ S,
@@ -160,7 +170,6 @@ class Searcher {
       }
       if (duplicate) {
         ++duplicate_prunes_;
-        arena_.Rewind(mark);
         continue;
       }
       if (config_.use_ceiling_prune) {
@@ -178,7 +187,6 @@ class Searcher {
               PackedSlice{ceiling_buffer_.data(), width_});
           if (psi_ceiling > config_.tarone_alpha) {
             ++ceiling_prunes_;
-            arena_.Rewind(mark);
             continue;
           }
         } else {
@@ -187,13 +195,13 @@ class Searcher {
                        static_cast<int64_t>(s_prime_size));
           if (best_possible >= config_.max_pvalue) {
             ++ceiling_prunes_;
-            arena_.Rewind(mark);
             continue;
           }
         }
       }
-      Search(x_prime, {s_prime, s_prime_size}, i);
-      arena_.Rewind(mark);
+      // The child's own level sits deeper, so S' and x' stay put while
+      // its subtree runs.
+      Search(x_prime, {s_prime, s_prime_size}, i, depth + 1);
       if (stopped_) return;
     }
   }
@@ -205,7 +213,7 @@ class Searcher {
   size_t words_;
   FvMineResult result_;
   util::WallTimer timer_;
-  util::Arena arena_;
+  std::deque<Level> levels_;  // levels_[d]: children of a depth-d state
   std::vector<uint64_t> ceiling_buffer_;
   bool tarone_ = false;
   double emit_bound_ = 1.0;

@@ -59,8 +59,9 @@ struct FvMineResult {
 // search with support, duplicate-state, and optimistic-ceiling pruning
 // (Algorithm 1 of the paper / He & Singh's FVMine).
 //
-// The recursion runs entirely on the packed SWAR kernels and a per-call
-// monotonic arena — zero steady-state heap allocations (DESIGN.md §14).
+// The recursion runs on the packed SWAR kernels and reuses one scratch
+// level per search depth, so its heap allocations grow with the search
+// depth, not with the states explored (DESIGN.md §14).
 FvMineResult FvMine(const features::PackedVectorSet& population,
                     const stats::FeaturePriors& priors,
                     const FvMineConfig& config);

@@ -6,6 +6,7 @@
 
 #include "graph/serialize.h"
 #include "util/binary.h"
+#include "util/durable_file.h"
 #include "util/strings.h"
 
 namespace graphsig::model {
@@ -440,15 +441,7 @@ Result<ModelArtifact> DecodeArtifact(std::string_view bytes) {
 }
 
 Status SaveArtifact(const ModelArtifact& artifact, const std::string& path) {
-  const std::string bytes = EncodeArtifact(artifact);
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IoError("cannot open for writing: " + path);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  // Flush before checking: a short write can sit in the stream buffer
-  // and only fail at close, which the destructor would swallow.
-  out.flush();
-  if (!out) return Status::IoError("write failed: " + path);
-  return Status::Ok();
+  return util::WriteFileAtomically(path, EncodeArtifact(artifact));
 }
 
 Result<ModelArtifact> LoadArtifact(const std::string& path) {

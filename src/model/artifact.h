@@ -70,7 +70,10 @@ std::string EncodeArtifact(const ModelArtifact& artifact);
 // Parses and validates (magic, version, checksum, section bounds).
 util::Result<ModelArtifact> DecodeArtifact(std::string_view bytes);
 
-// File variants (binary mode).
+// File variants. SaveArtifact writes `<path>.tmp`, fsyncs it and renames
+// it over `path` (util::WriteFileAtomically), so a concurrent
+// LoadArtifact, or one after a crash, sees the previous artifact or the
+// whole new one, never a truncated file.
 util::Status SaveArtifact(const ModelArtifact& artifact,
                           const std::string& path);
 util::Result<ModelArtifact> LoadArtifact(const std::string& path);

@@ -10,18 +10,13 @@ namespace {
 std::string ConfigFingerprint(const core::GraphSigConfig& config) {
   // num_threads is deliberately absent: output is thread-invariant.
   return util::StrPrintf(
-      "v1|rwr=%.17g,%.17g,%d,%d,%d,%d|topk=%d|pv=%.17g|freq=%.17g|"
-      "floor=%lld|radius=%d|fsg=%.17g|minset=%zu|maxe=%d|maxp=%zu|"
-      "maxr=%zu|cap=%zu|budget=%.17g|ceil=%d|tarone=%.17g|dbfreq=%d",
+      "v2|rwr=%.17g,%.17g,%d,%d,%d,%d|topk=%d|pv=%.17g|freq=%.17g|"
+      "radius=%d|fsg=%.17g|maxe=%d|ceil=%d|tarone=%.17g|dbfreq=%d",
       config.rwr.restart_prob, config.rwr.epsilon,
       config.rwr.max_iterations, config.rwr.bins, config.rwr.radius,
       static_cast<int>(config.rwr.featurizer), config.top_k_atoms,
-      config.max_pvalue, config.min_freq_percent,
-      static_cast<long long>(config.min_support_floor),
-      config.cutoff_radius, config.fsg_freq_percent, config.min_set_size,
-      config.fsm_max_edges, config.fsm_max_patterns,
-      config.max_regions_per_set, config.fvmine_max_results,
-      config.fvmine_budget_seconds,
+      config.max_pvalue, config.min_freq_percent, config.cutoff_radius,
+      config.fsg_freq_percent, config.fsm_max_edges,
       config.use_ceiling_prune ? 1 : 0, config.tarone_alpha,
       config.compute_db_frequency ? 1 : 0);
 }

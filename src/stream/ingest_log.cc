@@ -1,10 +1,7 @@
 #include "stream/ingest_log.h"
 
 #include <fcntl.h>
-#include <unistd.h>
 
-#include <cerrno>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -14,6 +11,7 @@
 #include "graph/serialize.h"
 #include "obs/metrics.h"
 #include "util/binary.h"
+#include "util/durable_file.h"
 #include "util/strings.h"
 
 namespace graphsig::stream {
@@ -23,6 +21,7 @@ using util::ByteReader;
 using util::ByteWriter;
 using util::Result;
 using util::Status;
+using util::WriteAndSync;
 
 constexpr size_t kMagicSize = 8;
 constexpr size_t kHeaderSize = kMagicSize + 4;     // magic + version
@@ -33,36 +32,6 @@ void CountTornTail() {
   static obs::Counter* const torn =
       obs::MetricsRegistry::Global().GetCounter("stream/log_torn_tails");
   torn->Add(1);
-}
-
-// Opens `path` with `flags`, writes all of `bytes` (retrying short
-// writes and EINTR), then fsyncs and closes it. Any failing call comes
-// back as an IoError naming the call, the path and errno's text.
-Status WriteAndSync(const std::string& path, int flags,
-                    std::string_view bytes) {
-  auto failed = [&path](const char* call) {
-    return Status::IoError(util::StrPrintf("%s %s: %s", call, path.c_str(),
-                                           std::strerror(errno)));
-  };
-  const int fd = ::open(path.c_str(), flags | O_CLOEXEC, 0644);
-  if (fd < 0) return failed("open");
-  Status status = Status::Ok();
-  size_t written = 0;
-  while (status.ok() && written < bytes.size()) {
-    const ssize_t n =
-        ::write(fd, bytes.data() + written, bytes.size() - written);
-    if (n >= 0) {
-      written += static_cast<size_t>(n);
-    } else if (errno != EINTR) {
-      status = failed("write");
-    }
-  }
-  if (status.ok() && ::fsync(fd) != 0) status = failed("fsync");
-  // A file, not a socket.
-  if (::close(fd) != 0 && status.ok()) {  // lint:allow=raw-socket
-    status = failed("close");
-  }
-  return status;
 }
 
 std::string FrameRecord(LogRecordType type, std::string_view payload) {
@@ -237,9 +206,7 @@ Result<IngestLog> IngestLog::Open(const std::string& path) {
     if (!bytes.empty()) CountTornTail();
     GS_RETURN_IF_ERROR(WriteAndSync(path, O_WRONLY | O_CREAT | O_TRUNC,
                                     header.buffer()));
-    std::string dir = std::filesystem::path(path).parent_path().string();
-    if (dir.empty()) dir = ".";
-    GS_RETURN_IF_ERROR(WriteAndSync(dir, O_RDONLY | O_DIRECTORY, ""));
+    GS_RETURN_IF_ERROR(util::SyncParentDirectory(path));
     IngestLogContents contents;
     contents.valid_bytes = kHeaderSize;
     return IngestLog(path, std::move(contents));

@@ -20,7 +20,6 @@ from facts import (  # noqa: E402
     OP_COMMUTATIVE,
     OP_OTHER,
     OP_SORTED_DRAIN,
-    ArenaAllocFact,
     Facts,
     FieldFact,
     Finding,
@@ -107,54 +106,6 @@ class PointerKeyTest(unittest.TestCase):
             key_type="Item*", has_custom_compare=True))
         self.assertEqual([x for x in checkers.run_checkers(f)
                           if x.checker == "pointer-key-order"], [])
-
-
-class ArenaPodTest(unittest.TestCase):
-    def _facts(self, type_text, rec=None):
-        f = Facts()
-        if rec is not None:
-            f.records.append(rec)
-        f.arena_allocs.append(ArenaAllocFact(
-            file="src/x.cc", line=3, function="F", type=type_text,
-            form="placement_new"))
-        return f
-
-    def _run(self, f):
-        return [x for x in checkers.run_checkers(f)
-                if x.checker == "arena-pod"]
-
-    def test_std_string_fires(self):
-        self.assertEqual(len(self._run(self._facts("std::string"))), 1)
-
-    def test_fundamental_silent(self):
-        self.assertEqual(self._run(self._facts("uint64_t")), [])
-
-    def test_user_dtor_record_fires(self):
-        rec = RecordFact(name="Owns", file="src/x.cc", line=1,
-                         has_user_dtor=True)
-        self.assertEqual(len(self._run(self._facts("Owns", rec))), 1)
-
-    def test_pod_record_silent(self):
-        rec = RecordFact(name="Pod", file="src/x.cc", line=1)
-        rec.fields.append(FieldFact(name="a", type="int32_t", line=2))
-        self.assertEqual(self._run(self._facts("Pod", rec)), [])
-
-    def test_unknown_type_stays_silent(self):
-        self.assertEqual(self._run(self._facts("mystery::Type")), [])
-
-    def test_same_file_record_wins_over_name_collision(self):
-        # Two anonymous-namespace `Emb`s: POD in the allocating file,
-        # non-POD elsewhere. The allocating file's definition decides.
-        f = Facts()
-        other = RecordFact(name="Emb", file="src/other.cc", line=1,
-                           has_user_dtor=True)
-        local = RecordFact(name="Emb", file="src/x.cc", line=1)
-        local.fields.append(FieldFact(name="n", type="int32_t", line=2))
-        f.records.extend([other, local])
-        f.arena_allocs.append(ArenaAllocFact(
-            file="src/x.cc", line=3, function="F", type="Emb",
-            form="AllocateArray"))
-        self.assertEqual(self._run(f), [])
 
 
 class LockCoverageTest(unittest.TestCase):
@@ -258,7 +209,8 @@ class SuppressionsTest(unittest.TestCase):
         self.assertEqual(supp.entries, [])
 
     def test_key_does_not_match_other_checker(self):
-        supp = self._load("arena-pod src/x.h C.n_ -- wrong checker\n")
+        supp = self._load(
+            "metric-literal src/x.h C.n_ -- wrong checker\n")
         self.assertFalse(supp.matches(self._finding()))
 
 

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <sys/resource.h>
 
+#include <filesystem>
 #include <functional>
 #include <limits>
 #include <string>
@@ -258,6 +261,38 @@ TEST(ModelArtifactTest, FileRoundTrip) {
   auto loaded = LoadArtifact(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ExpectArtifactsEqual(artifact, loaded.value());
+}
+
+TEST(ModelArtifactTest, FailedSaveKeepsPreviousArtifact) {
+  const std::string path = testing::TempDir() + "/model_failed_save.gsig";
+  const ModelArtifact previous;
+  ASSERT_TRUE(SaveArtifact(previous, path).ok());
+  const ModelArtifact& artifact = TestArtifact();
+  const size_t new_bytes = EncodeArtifact(artifact).size();
+
+  // A file-size limit half way into the new artifact: the save's first
+  // write stops short at the limit and its next one fails with EFBIG
+  // (SIGXFSZ ignored, so the process lives to see it).
+  struct sigaction ignore = {};
+  ignore.sa_handler = SIG_IGN;
+  struct sigaction old_action = {};
+  ASSERT_EQ(::sigaction(SIGXFSZ, &ignore, &old_action), 0);
+  struct rlimit old_limit = {};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &old_limit), 0);
+  struct rlimit limit = old_limit;
+  limit.rlim_cur = new_bytes / 2;
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &limit), 0);
+  const util::Status failed = SaveArtifact(artifact, path);
+  EXPECT_EQ(::setrlimit(RLIMIT_FSIZE, &old_limit), 0);
+  EXPECT_EQ(::sigaction(SIGXFSZ, &old_action, nullptr), 0);
+
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.code(), util::StatusCode::kIoError);
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  auto loaded = LoadArtifact(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ExpectArtifactsEqual(previous, loaded.value());
+  std::filesystem::remove(path);
 }
 
 TEST(ModelArtifactTest, EmptyArtifactRoundTrips) {

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <sstream>
 
-#include "util/arena.h"
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/strings.h"
@@ -12,83 +11,6 @@
 
 namespace graphsig::util {
 namespace {
-
-TEST(ArenaTest, AllocationsAreAligned) {
-  Arena arena(64);
-  for (size_t align : {1u, 2u, 4u, 8u, 16u}) {
-    void* p = arena.Allocate(3, align);
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(p) % align, 0u)
-        << "align=" << align;
-  }
-  EXPECT_EQ(arena.allocations(), 5u);
-}
-
-TEST(ArenaTest, AllocateArrayIsUsableStorage) {
-  Arena arena;
-  int64_t* xs = arena.AllocateArray<int64_t>(100);
-  for (int i = 0; i < 100; ++i) xs[i] = i * i;
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(xs[i], i * i);
-}
-
-TEST(ArenaTest, GrowsAcrossChunks) {
-  Arena arena(32);  // tiny chunks force growth
-  for (int i = 0; i < 50; ++i) {
-    char* p = static_cast<char*>(arena.Allocate(24, 8));
-    p[0] = static_cast<char>(i);  // must be writable
-  }
-  EXPECT_GE(arena.capacity_bytes(), 50u * 24u);
-  EXPECT_EQ(arena.allocations(), 50u);
-  EXPECT_EQ(arena.bytes_requested(), 50u * 24u);
-}
-
-TEST(ArenaTest, OversizedRequestGetsDedicatedChunk) {
-  Arena arena(16);
-  void* p = arena.Allocate(1000, 8);
-  ASSERT_NE(p, nullptr);
-  static_cast<char*>(p)[999] = 'x';
-}
-
-TEST(ArenaTest, RewindReusesMemory) {
-  Arena arena(128);
-  const Arena::Mark start = arena.Position();
-  void* first = arena.Allocate(64, 8);
-  arena.Rewind(start);
-  void* second = arena.Allocate(64, 8);
-  EXPECT_EQ(first, second);  // same chunk offset after rewind
-}
-
-TEST(ArenaTest, CountersAreMonotonicAcrossRewinds) {
-  // bytes_requested / allocations tally every request ever made — they
-  // never decrease on Rewind/Reset, which makes them valid deterministic
-  // work counters (DESIGN.md §12).
-  Arena arena(64);
-  const Arena::Mark start = arena.Position();
-  arena.Allocate(48, 8);
-  const uint64_t bytes_after_one = arena.bytes_requested();
-  arena.Rewind(start);
-  EXPECT_EQ(arena.bytes_requested(), bytes_after_one);
-  arena.Allocate(48, 8);
-  EXPECT_EQ(arena.bytes_requested(), 2 * bytes_after_one);
-  EXPECT_EQ(arena.allocations(), 2u);
-  arena.Reset();
-  EXPECT_EQ(arena.bytes_requested(), 2 * bytes_after_one);
-}
-
-TEST(ArenaTest, NestedMarksRewindInLifoOrder) {
-  Arena arena(64);
-  const Arena::Mark outer = arena.Position();
-  arena.Allocate(40, 8);
-  const Arena::Mark inner = arena.Position();
-  arena.Allocate(40, 8);  // spills into a second chunk
-  arena.Allocate(40, 8);
-  arena.Rewind(inner);
-  void* p = arena.Allocate(40, 8);
-  ASSERT_NE(p, nullptr);
-  arena.Rewind(outer);
-  // After a full rewind the original offset is available again.
-  arena.Allocate(40, 8);
-  EXPECT_EQ(arena.allocations(), 5u);
-}
 
 TEST(StatusTest, DefaultIsOk) {
   Status s;

@@ -1,4 +1,4 @@
-"""The five determinism checkers. Pure policy over facts.
+"""The four determinism checkers. Pure policy over facts.
 
 Each checker takes the merged Facts and yields Findings. Keys are the
 stable suppression handles (tools/analyze/suppressions.txt); they avoid
@@ -17,12 +17,6 @@ Checkers (DESIGN.md §15):
                     addresses vary run to run, so any derived order does
                     too.
 
-  arena-pod         a non-trivially-destructible type constructed into
-                    util::Arena, whose memory is reused, never destroyed.
-                    AllocateArray has a static_assert backstop; this
-                    catches placement-new into Allocate() raw bytes and
-                    keeps the report in one place.
-
   lock-coverage     a class owns a util::Mutex but has members that are
                     neither GS_GUARDED_BY, GS_UNGUARDED_BY_DESIGN,
                     const, static, nor themselves synchronization
@@ -37,15 +31,13 @@ Checkers (DESIGN.md §15):
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
-from cpp_frontend import type_is_trivially_destructible
-from facts import OP_OTHER, Facts, Finding, RecordFact
+from facts import OP_OTHER, Facts, Finding
 
 ALL_CHECKERS = (
     "unordered-order",
     "pointer-key-order",
-    "arena-pod",
     "lock-coverage",
     "metric-literal",
 )
@@ -107,36 +99,6 @@ def check_pointer_key_order(facts: Facts) -> List[Finding]:
     return findings
 
 
-def check_arena_pod(facts: Facts) -> List[Finding]:
-    findings = []
-    records = _record_index(facts)
-    # Anonymous-namespace types in different TUs can share a name (two
-    # `struct Emb`s exist in this repo); resolve against the allocating
-    # file's own records first, the global index only as a fallback.
-    by_file: Dict[str, Dict[str, RecordFact]] = {}
-    for r in facts.records:
-        idx = by_file.setdefault(r.file, {})
-        idx.setdefault(r.name, r)
-        idx.setdefault(r.name.rsplit("::", 1)[-1], r)
-    for alloc in facts.arena_allocs:
-        merged = dict(records)
-        merged.update(by_file.get(alloc.file, {}))
-        trivial = type_is_trivially_destructible(alloc.type, merged)
-        if trivial is not False:
-            continue  # True = fine; None = unknown, stay silent
-        findings.append(Finding(
-            checker="arena-pod",
-            file=alloc.file,
-            line=alloc.line,
-            message=(
-                f"`{alloc.type}` constructed into util::Arena via "
-                f"{alloc.form} is not trivially destructible — arena "
-                f"memory is reused, never destroyed, so its destructor "
-                f"will never run"),
-            key=f"{alloc.function or '<file>'}@{alloc.type}"))
-    return findings
-
-
 def check_lock_coverage(facts: Facts) -> List[Finding]:
     findings = []
     for rec in facts.records:
@@ -176,14 +138,9 @@ def check_metric_literal(facts: Facts) -> List[Finding]:
     return findings
 
 
-def _record_index(facts: Facts) -> Dict[str, RecordFact]:
-    return facts.record_index()
-
-
 CHECKER_FUNCS = {
     "unordered-order": check_unordered_order,
     "pointer-key-order": check_pointer_key_order,
-    "arena-pod": check_arena_pod,
     "lock-coverage": check_lock_coverage,
     "metric-literal": check_metric_literal,
 }

@@ -35,7 +35,6 @@ from facts import (
     OP_CONTROL,
     OP_OTHER,
     OP_SORTED_DRAIN,
-    ArenaAllocFact,
     Facts,
     FieldFact,
     LoopFact,
@@ -199,7 +198,6 @@ class _Walker:
         self.root = repo_root
         self.facts = facts
         self.fn_stack: List[str] = []
-        self.arena_slots: set = set()
 
     # -- helpers --
 
@@ -248,12 +246,6 @@ class _Walker:
                 return r
         return None
 
-    def _contains_member(self, node: dict, names) -> bool:
-        if node.get("kind") == "MemberExpr" and node.get("name") in names:
-            return True
-        return any(self._contains_member(c, names)
-                   for c in self._inner(node))
-
     def _callee_name(self, call: dict) -> str:
         inner = self._inner(call)
         if not inner:
@@ -284,14 +276,7 @@ class _Walker:
             self._for_loop(node)
         elif kind in ("CallExpr", "CXXMemberCallExpr"):
             self._call(node)
-        elif kind == "CXXNewExpr":
-            self._new_expr(node)
         elif kind in ("VarDecl", "FieldDecl", "TypedefDecl", "TypeAliasDecl"):
-            if kind == "VarDecl" and node.get("name") and \
-                    self._contains_member(node, ("Allocate",)):
-                # `void* slot = arena->Allocate(...)`: remember the slot
-                # so `new (slot) T` is recognized as an arena placement.
-                self.arena_slots.add(node["name"])
             self._typed_decl(node)
         for child in self._inner(node):
             self.walk(child)
@@ -311,21 +296,7 @@ class _Walker:
         name = node.get("name") or ""
         if not name:
             return
-        dd = node.get("definitionData") or {}
-        dtor = dd.get("dtor") or {}
-        # The dumper only emits true flags, so presence of either key
-        # means the triviality is known.
-        trivial = None
-        if "trivial" in dtor or "nonTrivial" in dtor:
-            trivial = bool(dtor.get("trivial")) and \
-                not bool(dtor.get("nonTrivial"))
-        rec = RecordFact(
-            name=name, file=rel, line=line,
-            has_user_dtor=bool(dtor.get("userDeclared")),
-            is_polymorphic=bool(dd.get("isPolymorphic")),
-            bases=[(b.get("type") or {}).get("qualType", "")
-                   for b in node.get("bases", [])],
-            trivially_destructible=trivial)
+        rec = RecordFact(name=name, file=rel, line=line)
         for child in self._inner(node):
             if child.get("kind") != "FieldDecl":
                 continue
@@ -508,12 +479,6 @@ class _Walker:
                 file=rel, line=line, function=self._fn(), api=name,
                 arg_text=(lit or {}).get("value", "<expr>"),
                 arg_is_literal=literal))
-        elif name == "AllocateArray":
-            t = self._qt(node)
-            if t.endswith("*"):
-                self.facts.arena_allocs.append(ArenaAllocFact(
-                    file=rel, line=line, function=self._fn(),
-                    type=t[:-1].strip(), form="AllocateArray"))
 
     def _sort_call(self, node: dict, algo: str, rel: str, line: int) -> None:
         lam = self._find_kind(node, "LambdaExpr")
@@ -555,34 +520,6 @@ class _Walker:
 
         visit(node)
         return keys
-
-    # -- placement new --
-
-    def _new_expr(self, node: dict) -> None:
-        inner = self._inner(node)
-        has_arena_placement = False
-        for c in inner:
-            if c.get("kind") in ("CXXConstructExpr", "InitListExpr"):
-                continue
-            if self._contains_member(c, ("Allocate", "AllocateArray")):
-                has_arena_placement = True
-                break
-            ref = self._find_kind(c, "DeclRefExpr")
-            if ref is not None and (ref.get("referencedDecl") or {}) \
-                    .get("name") in self.arena_slots:
-                has_arena_placement = True
-                break
-        if not has_arena_placement:
-            return
-        file, line = self._loc(node)
-        rel = self._rel(file)
-        if not self._in_repo(rel):
-            return
-        t = self._qt_sugar(node)
-        self.facts.arena_allocs.append(ArenaAllocFact(
-            file=rel, line=line, function=self._fn(),
-            type=t[:-1].strip() if t.endswith("*") else t,
-            form="placement_new"))
 
     # -- pointer-keyed container/hash declarations --
 

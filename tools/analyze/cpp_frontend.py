@@ -16,8 +16,8 @@ What it tracks, honestly:
   * per-function symbol tables (params + locals) for type lookups,
   * range-for and iterator loops with commutativity classification of
     their bodies,
-  * sort-predicate keys, ordered-container key types, arena
-    constructions, metric-name call sites.
+  * sort-predicate keys, ordered-container key types, metric-name call
+    sites.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from facts import (
     OP_CONTROL,
     OP_OTHER,
     OP_SORTED_DRAIN,
-    ArenaAllocFact,
     Facts,
     FieldFact,
     LoopFact,
@@ -190,11 +189,6 @@ _SORT_ALGOS = {
 }
 _METRIC_APIS = {"GetCounter", "GetAdvisoryCounter", "GetGauge",
                 "GetHistogram", "GetSpan"}
-_TRIVIAL_STD_RE = re.compile(
-    r"\bstd::(string|basic_string|vector|deque|list|forward_list|map|set"
-    r"|multimap|multiset|unordered_\w+|function|unique_ptr|shared_ptr"
-    r"|weak_ptr|any|stringstream|ostringstream|istringstream)\b"
-)
 
 
 def spell(toks: List[Tok]) -> str:
@@ -413,7 +407,6 @@ class Extractor:
         # record name -> {field -> type}; built before function passes so
         # member lookups work regardless of declaration order.
         self.member_types: Dict[str, Dict[str, str]] = {}
-        self.record_by_name: Dict[str, RecordFact] = {}
 
     def run(self) -> Facts:
         for s in self.scopes:
@@ -442,16 +435,6 @@ class Extractor:
         toks = self.toks
         name = self._record_qual_name(s)
         rec = RecordFact(name=name, file=self.path, line=toks[s.open].line)
-        # Base classes: between the record head's ':' and '{'.
-        j = s.open - 1
-        while j >= 0 and toks[j].text not in (";", "}", "{"):
-            j -= 1
-        head = toks[j + 1:s.open]
-        if any(t.text == ":" for t in head):
-            k = next(i for i, t in enumerate(head) if t.text == ":")
-            rec.bases = [t.text for t in head[k + 1:]
-                         if t.kind == "id" and t.text not in
-                         ("public", "private", "protected", "virtual")]
         # Statements at record top level (nested braces skipped wholesale).
         i = s.open + 1
         stmt: List[Tok] = []
@@ -476,8 +459,6 @@ class Extractor:
             stmt.append(t)
             i += 1
         self.facts.records.append(rec)
-        self.record_by_name[name] = rec
-        self.record_by_name.setdefault(name.rsplit("::", 1)[-1], rec)
         self.member_types[name] = {f.name: f.type for f in rec.fields}
         self.member_types.setdefault(
             name.rsplit("::", 1)[-1], self.member_types[name])
@@ -492,11 +473,8 @@ class Extractor:
         if not stmt:
             return
         texts = [t.text for t in stmt]
-        if "virtual" in texts:
-            rec.is_polymorphic = True
         if "~" in texts:
-            rec.has_user_dtor = True
-            return
+            return  # a destructor, not a field
         if stmt[0].text in _SKIP_FIELD_STARTS or "{" in texts:
             return
         f = self._parse_field(stmt)
@@ -609,7 +587,6 @@ class Extractor:
         self._collect_params(s, symbols)
         self._collect_locals(body, symbols)
         sinks = self._collect_sinks(body)
-        arena_slots = self._collect_arena_slots(body)
         i = body.start
         while i < body.stop:
             t = toks[i]
@@ -621,12 +598,6 @@ class Extractor:
                     and toks[i - 1].text == "::" and toks[i - 2].text == "std" \
                     and i + 1 < body.stop and toks[i + 1].text == "(":
                 self._extract_sort(s, i, symbols)
-            if t.kind == "id" and t.text in ("AllocateArray",) \
-                    and i >= 1 and toks[i - 1].text in (".", "->"):
-                self._extract_arena_template(s, i)
-            if t.kind == "id" and t.text == "new" \
-                    and i + 1 < body.stop and toks[i + 1].text == "(":
-                self._extract_placement_new(s, i, arena_slots)
             if t.kind == "id" and t.text in _METRIC_APIS \
                     and i >= 1 and toks[i - 1].text in (".", "->") \
                     and i + 1 < body.stop and toks[i + 1].text == "(":
@@ -1016,62 +987,6 @@ class Extractor:
             return re.sub(r"\bconst\b|&", "", t).strip()
         return ""
 
-    # -- arena ------------------------------------------------------------
-
-    def _extract_arena_template(self, s: Scope, i: int) -> None:
-        toks = self.toks
-        if i + 1 >= len(toks) or toks[i + 1].text != "<":
-            return
-        end = match_angle(toks, i + 1)
-        if end < 0:
-            return
-        type_text = spell(toks[i + 2:end - 1]).strip()
-        self.facts.arena_allocs.append(ArenaAllocFact(
-            file=self.path, line=toks[i].line, function=s.name,
-            type=type_text, form="AllocateArray"))
-
-    def _collect_arena_slots(self, body: range) -> set:
-        """Names of locals bound to an `x.Allocate(...)` result.
-
-        Supports the common two-step idiom
-            void* slot = arena->Allocate(n, a);
-            new (slot) T(...);
-        by remembering which identifiers hold arena storage.
-        """
-        toks = self.toks
-        slots: set = set()
-        for i in range(body.start, body.stop):
-            if toks[i].kind == "id" and toks[i].text == "Allocate" \
-                    and i >= 1 and toks[i - 1].text in (".", "->"):
-                j = i - 2
-                while j > body.start and toks[j].text not in (
-                        "=", ";", "{", "}", "(", ","):
-                    j -= 1
-                if toks[j].text == "=" and j >= 1 \
-                        and toks[j - 1].kind == "id":
-                    slots.add(toks[j - 1].text)
-        return slots
-
-    def _extract_placement_new(self, s: Scope, i: int,
-                               arena_slots: set) -> None:
-        toks = self.toks
-        close = match_paren(toks, i + 1)
-        placement = toks[i + 2:close]
-        if not any(t.text in ("Allocate", "AllocateArray")
-                   or (t.kind == "id" and t.text in arena_slots)
-                   for t in placement):
-            return
-        j = close + 1
-        type_toks: List[Tok] = []
-        while j < len(toks) and toks[j].text not in ("(", "{", "[", ";", ","):
-            type_toks.append(toks[j])
-            j += 1
-        if not type_toks:
-            return
-        self.facts.arena_allocs.append(ArenaAllocFact(
-            file=self.path, line=toks[i].line, function=s.name,
-            type=spell(type_toks).strip(), form="placement_new"))
-
     # -- metrics ----------------------------------------------------------
 
     def _extract_metric(self, s: Scope, i: int, arg_index: int,
@@ -1116,63 +1031,6 @@ class Extractor:
 
 def extract_file(rel_path: str, text: str) -> Facts:
     return Extractor(rel_path, text).run()
-
-
-def type_is_trivially_destructible(type_text: str,
-                                   records: Dict[str, RecordFact],
-                                   depth: int = 0) -> Optional[bool]:
-    """Best-effort triviality for the built-in frontend.
-
-    True/False when determinable, None when unknown (the checker then
-    stays silent; the clang frontend and Arena's own static_assert are
-    the precise layers).
-    """
-    t = re.sub(r"\b(const|struct|class)\b", "", type_text).strip()
-    if not t:
-        return None
-    if t.endswith("*") or t.endswith("&"):
-        return True
-    if _TRIVIAL_STD_RE.search(t):
-        return False
-    base = re.sub(r"<.*", "", t).strip()
-    if re.fullmatch(
-            r"(unsigned\s+|signed\s+)?(bool|char|short|int|long|long\s+long"
-            r"|float|double|size_t|u?int\d+_t|ptrdiff_t|uintptr_t|intptr_t"
-            r"|char8_t|char16_t|char32_t|wchar_t)", base):
-        return True
-    if base in ("std::pair", "std::tuple", "std::array", "std::optional",
-                "std::variant", "std::atomic", "std::span",
-                "std::string_view"):
-        # Triviality follows the element types; resolve what we can.
-        inner = re.sub(r"^[^<]*<|>[^>]*$", "", t)
-        if base in ("std::span", "std::string_view"):
-            return True
-        results = [type_is_trivially_destructible(p.strip(), records,
-                                                  depth + 1)
-                   for p in _split_type_args(inner)]
-        if False in results:
-            return False
-        if all(r is True for r in results):
-            return base not in ("std::optional", "std::variant")
-        return None
-    rec = records.get(base) or records.get(base.rsplit("::", 1)[-1])
-    if rec is None:
-        return None
-    if rec.trivially_destructible is not None:
-        return rec.trivially_destructible
-    if rec.has_user_dtor or rec.is_polymorphic:
-        return False
-    if depth > 4:
-        return None
-    results = [type_is_trivially_destructible(f.type, records, depth + 1)
-               for f in rec.fields if not f.is_static]
-    for b in rec.bases:
-        results.append(type_is_trivially_destructible(b, records, depth + 1))
-    if False in results:
-        return False
-    if all(r is True for r in results):
-        return True
-    return None
 
 
 def _split_type_args(inner: str) -> List[str]:

@@ -8,12 +8,12 @@ The analyzer is split into three layers (see tools/analyze/README.md):
     facts     (this module: plain dataclasses, JSON-serializable)
         |
         v
-    checkers  (policy: the five determinism invariants)
+    checkers  (policy: the four determinism invariants)
 
 Both frontends emit the *same* facts, so the checkers — where all the
 policy lives — are written once and unit-tested without any compiler.
 A fact records something the frontend *saw*; it carries no judgement.
-Judgement (is this loop order-escaping? is this type arena-safe?) is
+Judgement (is this loop order-escaping? is this field unguarded?) is
 the checkers' job.
 """
 
@@ -23,7 +23,7 @@ import dataclasses
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List
 
 # --- statement classification inside iteration bodies -----------------
 
@@ -58,12 +58,6 @@ class RecordFact:
     file: str
     line: int
     fields: List[FieldFact] = field(default_factory=list)
-    has_user_dtor: bool = False
-    is_polymorphic: bool = False
-    bases: List[str] = field(default_factory=list)
-    # Filled by the clang frontend from definitionData; None = unknown
-    # (the built-in frontend derives it in the checker instead).
-    trivially_destructible: Optional[bool] = None
 
     @property
     def has_mutex(self) -> bool:
@@ -118,17 +112,6 @@ class OrderedKeyFact:
 
 
 @dataclass
-class ArenaAllocFact:
-    """A construction into util::Arena memory."""
-
-    file: str
-    line: int
-    function: str
-    type: str                       # the T being placed in the arena
-    form: str                       # "AllocateArray" | "placement_new"
-
-
-@dataclass
 class MetricCallFact:
     """A metric/span registration call and whether its name is literal."""
 
@@ -148,24 +131,13 @@ class Facts:
     loops: List[LoopFact] = field(default_factory=list)
     sort_calls: List[SortCallFact] = field(default_factory=list)
     ordered_keys: List[OrderedKeyFact] = field(default_factory=list)
-    arena_allocs: List[ArenaAllocFact] = field(default_factory=list)
     metric_calls: List[MetricCallFact] = field(default_factory=list)
-
-    def record_index(self) -> Dict[str, RecordFact]:
-        """Last definition wins; also indexed by unqualified name."""
-        index: Dict[str, RecordFact] = {}
-        for r in self.records:
-            index.setdefault(r.name, r)
-            unqual = r.name.rsplit("::", 1)[-1]
-            index.setdefault(unqual, r)
-        return index
 
     def extend(self, other: "Facts") -> None:
         self.records.extend(other.records)
         self.loops.extend(other.loops)
         self.sort_calls.extend(other.sort_calls)
         self.ordered_keys.extend(other.ordered_keys)
-        self.arena_allocs.extend(other.arena_allocs)
         self.metric_calls.extend(other.metric_calls)
 
     def to_json(self) -> str:

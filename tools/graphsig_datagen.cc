@@ -5,6 +5,7 @@
 //                    --output=FILE
 
 #include <cstdio>
+#include <limits>
 
 #include "data/datasets.h"
 #include "tools/tool_util.h"
@@ -29,10 +30,16 @@ int main(int argc, char** argv) {
   }
 
   data::DatasetOptions options;
-  options.size = static_cast<size_t>(flags.GetInt("size", 2000));
-  options.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
-  options.active_fraction =
-      flags.GetDouble("active-fraction", options.active_fraction);
+  const auto size = tools::FlagInRange<int64_t>(
+      flags, "size", 2000, 1, std::numeric_limits<int>::max());
+  const auto seed = tools::FlagInRange<int64_t>(
+      flags, "seed", 1, 0, std::numeric_limits<int64_t>::max());
+  const auto active_fraction = tools::FlagInRange(
+      flags, "active-fraction", options.active_fraction, 0.0, 1.0);
+  if (!size || !seed || !active_fraction) return 1;
+  options.size = static_cast<size_t>(*size);
+  options.seed = static_cast<uint64_t>(*seed);
+  options.active_fraction = *active_fraction;
 
   graph::GraphDatabase db;
   if (screen == "AIDS") {

@@ -98,12 +98,9 @@ int main(int argc, char** argv) {
                 num_active, num_inactive);
   }
 
-  // Guard the artifact while SaveArtifact streams it out: a signal
-  // mid-write unlinks the truncated file instead of leaving a corrupt
-  // artifact for graphsig_query/graphsig_serve to reject later.
-  tools::GuardOutput(output);
+  // SaveArtifact renames a complete temp file into place, so a signal
+  // mid-save leaves the previous artifact, never a truncated one.
   util::Status saved = model::SaveArtifact(artifact, output);
-  tools::CommitOutput(output);
   if (!saved.ok()) tools::Fail(saved);
   std::printf("artifact written to %s (%zu graphs, %zu patterns, "
               "classifier: %s)\n",

@@ -106,9 +106,7 @@ int main(int argc, char** argv) {
           static_cast<uint64_t>(result.stats.tarone_family_size);
       artifact.tarone_filtered =
           static_cast<uint64_t>(result.stats.tarone_filtered_vectors);
-      tools::GuardOutput(output);
       util::Status saved = model::SaveArtifact(artifact, output);
-      tools::CommitOutput(output);
       if (!saved.ok()) tools::Fail(saved);
       std::printf("artifact written to %s (generation %llu, %zu graphs, "
                   "%zu patterns)\n",

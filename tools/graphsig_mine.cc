@@ -11,6 +11,7 @@
 #include <cstdio>
 
 #include <fstream>
+#include <limits>
 #include <optional>
 
 #include "core/graphsig.h"
@@ -37,7 +38,9 @@ int main(int argc, char** argv) {
   }
   const std::optional<core::GraphSigConfig> config =
       tools::MiningConfigFromFlags(flags);
-  if (!config) return 1;
+  const std::optional<int64_t> top = tools::FlagInRange<int64_t>(
+      flags, "top", 20, 0, std::numeric_limits<int64_t>::max());
+  if (!config || !top) return 1;
   auto loaded =
       tools::LoadDatabase(input, flags.GetString("format", "smiles"));
   if (!loaded.ok()) tools::Fail(loaded.status());
@@ -62,8 +65,8 @@ int main(int argc, char** argv) {
               static_cast<long long>(result.stats.num_sets_mined),
               static_cast<long long>(result.stats.num_sets_filtered));
 
-  const size_t top = static_cast<size_t>(flags.GetInt("top", 20));
-  for (size_t i = 0; i < result.subgraphs.size() && i < top; ++i) {
+  const auto shown = static_cast<size_t>(*top);
+  for (size_t i = 0; i < result.subgraphs.size() && i < shown; ++i) {
     const core::SignificantSubgraph& sg = result.subgraphs[i];
     std::printf("#%zu  p-value %.3e  anchor %s  set %lld/%lld", i,
                 sg.vector_pvalue,

@@ -17,6 +17,8 @@
 
 #include <fstream>
 #include <iostream>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -41,6 +43,9 @@ int main(int argc, char** argv) {
                  "[--no-score] [--quiet]\n");
     return 1;
   }
+  const std::optional<int64_t> threads = tools::FlagInRange<int64_t>(
+      flags, "threads", 0, 0, std::numeric_limits<int>::max());
+  if (!threads) return 1;
 
   util::WallTimer load_timer;
   auto catalog = serve::PatternCatalog::LoadFromFile(model_path);
@@ -81,7 +86,7 @@ int main(int argc, char** argv) {
   }
 
   serve::CatalogQueryConfig config;
-  config.num_threads = tools::ResolveThreads(flags.GetInt("threads", 0));
+  config.num_threads = tools::ResolveThreads(*threads);
   config.compute_matches = !flags.GetBool("no-matches");
   config.compute_score = !flags.GetBool("no-score");
 

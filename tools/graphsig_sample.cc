@@ -18,6 +18,7 @@
 // from the rest of the pipeline. CI diffs runs at --threads=1 and 4.
 
 #include <cstdio>
+#include <limits>
 #include <string>
 
 #include "approx/estimators.h"
@@ -147,14 +148,29 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  constexpr int64_t kIntMax = std::numeric_limits<int>::max();
+  const auto seed = tools::FlagInRange<int64_t>(
+      flags, "seed", 1, 0, std::numeric_limits<int64_t>::max());
+  const auto confidence = tools::FlagInRange(
+      flags, "confidence", 0.95, 0.0, 1.0, /*lo_open=*/true,
+      /*hi_open=*/true);
+  const auto threads =
+      tools::FlagInRange<int64_t>(flags, "threads", 0, 0, kIntMax);
+  const auto samples =
+      tools::FlagInRange<int64_t>(flags, "samples", 2000, 1, kIntMax);
+  const auto k = tools::FlagInRange<int64_t>(flags, "k", 10, 1, kIntMax);
+  const auto edges =
+      tools::FlagInRange<int64_t>(flags, "edges", 3, 1, kIntMax);
+  const auto support_samples = tools::FlagInRange<int64_t>(
+      flags, "support-samples", 128, 1, kIntMax);
+  if (!seed || !confidence || !threads || !samples || !k || !edges ||
+      !support_samples) {
+    return 1;
+  }
+
   auto db = tools::LoadDatabase(input, flags.GetString("format", "smiles"));
   if (!db.ok()) tools::Fail(db.status());
 
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
-  const double confidence = flags.GetDouble("confidence", 0.95);
-  const int threads = tools::ResolveThreads(flags.GetInt("threads", 0));
-  const int32_t samples =
-      static_cast<int32_t>(flags.GetInt("samples", 2000));
   const std::string json_path = flags.GetString("json", "");
   const std::string pattern_smiles = flags.GetString("pattern", "");
 
@@ -169,31 +185,31 @@ int main(int argc, char** argv) {
     pattern = std::move(parsed).value();
   }
 
+  const int num_threads = tools::ResolveThreads(*threads);
   int exit_code = 0;
   if (mode == "topk") {
     approx::TopKConfig config;
-    config.seed = seed;
-    config.k = static_cast<int32_t>(flags.GetInt("k", 10));
-    config.subgraph_edges = static_cast<int32_t>(flags.GetInt("edges", 3));
-    config.num_samples = samples;
-    config.support_samples =
-        static_cast<int32_t>(flags.GetInt("support-samples", 128));
-    config.confidence = confidence;
-    config.num_threads = threads;
+    config.seed = static_cast<uint64_t>(*seed);
+    config.k = static_cast<int32_t>(*k);
+    config.subgraph_edges = static_cast<int32_t>(*edges);
+    config.num_samples = static_cast<int32_t>(*samples);
+    config.support_samples = static_cast<int32_t>(*support_samples);
+    config.confidence = *confidence;
+    config.num_threads = num_threads;
     exit_code = RunTopK(db.value(), config, json_path);
   } else if (mode == "support") {
     approx::SupportConfig config;
-    config.seed = seed;
-    config.num_samples = samples;
-    config.confidence = confidence;
-    config.num_threads = threads;
+    config.seed = static_cast<uint64_t>(*seed);
+    config.num_samples = static_cast<int32_t>(*samples);
+    config.confidence = *confidence;
+    config.num_threads = num_threads;
     exit_code = RunSupport(db.value(), pattern, config, json_path);
   } else if (mode == "freq") {
     approx::FrequencyConfig config;
-    config.seed = seed;
-    config.num_walks = samples;
-    config.confidence = confidence;
-    config.num_threads = threads;
+    config.seed = static_cast<uint64_t>(*seed);
+    config.num_walks = static_cast<int32_t>(*samples);
+    config.confidence = *confidence;
+    config.num_threads = num_threads;
     exit_code = RunFrequency(db.value(), pattern, config, json_path);
   } else {
     tools::Fail(util::Status::InvalidArgument(

@@ -31,11 +31,12 @@
 namespace graphsig::tools {
 
 // ---------------------------------------------------------------------
-// SIGINT/SIGTERM output guard. A Ctrl-C in the middle of WriteFile or
-// SaveArtifact used to leave a truncated artifact/CSV on disk that a
-// later run would happily try to load. Every tool installs this guard
-// first thing in main(); paths registered with GuardOutput are
-// unlinked by the handler if the signal lands before CommitOutput.
+// SIGINT/SIGTERM output guard. A Ctrl-C in the middle of WriteFile used
+// to leave a truncated CSV or JSON file on disk that a later run would
+// happily try to read. Every tool installs this guard first thing in
+// main(); paths registered with GuardOutput are unlinked by the handler
+// if the signal lands before CommitOutput. Model artifacts need no
+// guard: model::SaveArtifact renames a complete file into place.
 //
 // The handler stays within async-signal-safe territory where it
 // matters (unlink, signal, raise); the log-sink flush is the one
@@ -125,20 +126,6 @@ class Flags {
     return it == values_.end() ? fallback : it->second;
   }
 
-  int64_t GetInt(const std::string& name, int64_t fallback) const {
-    auto it = values_.find(name);
-    if (it == values_.end()) return fallback;
-    auto v = util::ParseInt(it->second);
-    return v.ok() ? v.value() : fallback;
-  }
-
-  double GetDouble(const std::string& name, double fallback) const {
-    auto it = values_.find(name);
-    if (it == values_.end()) return fallback;
-    auto v = util::ParseDouble(it->second);
-    return v.ok() ? v.value() : fallback;
-  }
-
   bool GetBool(const std::string& name) const {
     return GetString(name, "") == "true";
   }
@@ -156,13 +143,15 @@ inline int ResolveThreads(int64_t flag_value) {
   return static_cast<int>(flag_value);
 }
 
-// Reads flag --`name` as a T (int64_t or double) in [lo, hi], or in
-// (lo, hi] when `lo_open`; `fallback` when the flag is absent. Any
-// other value, including one that does not parse, prints a message
-// naming the flag and returns nullopt.
+// Reads flag --`name` as a T (int64_t or double) in [lo, hi], with the
+// bound left out when `lo_open` or `hi_open`; `fallback` when the flag
+// is absent. Any other value, including one that does not parse, prints
+// a message naming the flag and returns nullopt. This is the tools' one
+// numeric flag reader.
 template <typename T>
 std::optional<T> FlagInRange(const Flags& flags, const std::string& name,
-                             T fallback, T lo, T hi, bool lo_open = false) {
+                             T fallback, T lo, T hi, bool lo_open = false,
+                             bool hi_open = false) {
   if (!flags.Has(name)) return fallback;
   const std::string raw = flags.GetString(name, "");
   const util::Result<T> value = [&] {
@@ -173,7 +162,7 @@ std::optional<T> FlagInRange(const Flags& flags, const std::string& name,
     }
   }();
   if (value.ok() && (lo_open ? value.value() > lo : value.value() >= lo) &&
-      value.value() <= hi) {
+      (hi_open ? value.value() < hi : value.value() <= hi)) {
     return value.value();
   }
   const char* kind = std::is_integral_v<T> ? "an integer" : "a number";
@@ -182,10 +171,10 @@ std::optional<T> FlagInRange(const Flags& flags, const std::string& name,
                  name.c_str(), kind, lo_open ? ">" : ">=",
                  static_cast<double>(lo), raw.c_str());
   } else {
-    std::fprintf(stderr, "--%s must be %s in %c%.15g, %.15g], got '%s'\n",
+    std::fprintf(stderr, "--%s must be %s in %c%.15g, %.15g%c, got '%s'\n",
                  name.c_str(), kind, lo_open ? '(' : '[',
                  static_cast<double>(lo), static_cast<double>(hi),
-                 raw.c_str());
+                 hi_open ? ')' : ']', raw.c_str());
   }
   return std::nullopt;
 }
