@@ -42,16 +42,6 @@ void FuzzTypedDecoders(const wire::Frame& frame) {
       }
       break;
     }
-    case wire::MessageType::kBatchQuery: {
-      auto req = wire::DecodeBatchQueryRequest(payload);
-      if (req.ok()) {
-        auto again = wire::DecodeBatchQueryRequest(
-            wire::EncodeBatchQueryRequest(req.value()));
-        GS_CHECK(again.ok());
-        GS_CHECK(again.value() == req.value());
-      }
-      break;
-    }
     case wire::MessageType::kQueryReply: {
       auto reply = wire::DecodeQueryReply(payload);
       if (reply.ok()) {
@@ -59,16 +49,6 @@ void FuzzTypedDecoders(const wire::Frame& frame) {
             wire::DecodeQueryReply(wire::EncodeQueryReply(reply.value()));
         GS_CHECK(again.ok());
         GS_CHECK(again.value() == reply.value());
-      }
-      break;
-    }
-    case wire::MessageType::kBatchQueryReply: {
-      auto replies = wire::DecodeBatchQueryReply(payload);
-      if (replies.ok()) {
-        auto again = wire::DecodeBatchQueryReply(
-            wire::EncodeBatchQueryReply(replies.value()));
-        GS_CHECK(again.ok());
-        GS_CHECK(again.value() == replies.value());
       }
       break;
     }

@@ -158,11 +158,6 @@ int main(int argc, char** argv) {
     WriteFileOrDie(root / "wire" / "query.bin",
                    wire::EncodeFrame(wire::MessageType::kQuery,
                                      wire::EncodeQueryRequest(query)));
-    wire::BatchQueryRequest batch;
-    batch.queries = {db.graph(0), db.graph(1), db.graph(2)};
-    WriteFileOrDie(root / "wire" / "batch_query.bin",
-                   wire::EncodeFrame(wire::MessageType::kBatchQuery,
-                                     wire::EncodeBatchQueryRequest(batch)));
     WriteFileOrDie(root / "wire" / "stats.bin",
                    wire::EncodeFrame(wire::MessageType::kStats, ""));
     WriteFileOrDie(root / "wire" / "health.bin",
@@ -176,10 +171,6 @@ int main(int argc, char** argv) {
     const std::string reply_frame = wire::EncodeFrame(
         wire::MessageType::kQueryReply, wire::EncodeQueryReply(reply));
     WriteFileOrDie(root / "wire" / "query_reply.bin", reply_frame);
-    WriteFileOrDie(
-        root / "wire" / "batch_reply.bin",
-        wire::EncodeFrame(wire::MessageType::kBatchQueryReply,
-                          wire::EncodeBatchQueryReply({reply, {}})));
     wire::StatsReply stats;
     stats.serving.queries = 42;
     stats.serving.total_latency_ms = 12.5;

@@ -1,7 +1,6 @@
 #include "graph/io.h"
 
 #include <cctype>
-#include <fstream>
 #include <sstream>
 
 #include "util/check.h"
@@ -161,16 +160,6 @@ util::Result<GraphDatabase> ParseGSpanText(std::string_view text,
   return db;
 }
 
-util::Result<GraphDatabase> ReadGSpanFile(const std::string& path,
-                                          LabelDictionary* vertex_dict,
-                                          LabelDictionary* edge_dict) {
-  std::ifstream in(path);
-  if (!in) return util::Status::IoError("cannot open file: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return ParseGSpanText(buffer.str(), vertex_dict, edge_dict);
-}
-
 void WriteGSpanText(const GraphDatabase& db, std::ostream& os,
                     const LabelDictionary* vertex_dict,
                     const LabelDictionary* edge_dict) {
@@ -199,19 +188,6 @@ void WriteGSpanText(const GraphDatabase& db, std::ostream& os,
          << '\n';
     }
   }
-}
-
-util::Status WriteGSpanFile(const GraphDatabase& db, const std::string& path,
-                            const LabelDictionary* vertex_dict,
-                            const LabelDictionary* edge_dict) {
-  std::ofstream out(path);
-  if (!out) return util::Status::IoError("cannot open file: " + path);
-  WriteGSpanText(db, out, vertex_dict, edge_dict);
-  // Flush before checking: a short write can sit in the stream buffer
-  // and only fail at close, which the destructor would swallow.
-  out.flush();
-  if (!out) return util::Status::IoError("write failed: " + path);
-  return util::Status::Ok();
 }
 
 }  // namespace graphsig::graph

@@ -48,19 +48,11 @@ util::Result<GraphDatabase> ParseGSpanText(std::string_view text,
                                            LabelDictionary* vertex_dict,
                                            LabelDictionary* edge_dict);
 
-util::Result<GraphDatabase> ReadGSpanFile(const std::string& path,
-                                          LabelDictionary* vertex_dict,
-                                          LabelDictionary* edge_dict);
-
 // Writes the same format. If dictionaries are given, labels are written
 // symbolically; otherwise numerically. Tags are written when non-zero.
 void WriteGSpanText(const GraphDatabase& db, std::ostream& os,
                     const LabelDictionary* vertex_dict = nullptr,
                     const LabelDictionary* edge_dict = nullptr);
-
-util::Status WriteGSpanFile(const GraphDatabase& db, const std::string& path,
-                            const LabelDictionary* vertex_dict = nullptr,
-                            const LabelDictionary* edge_dict = nullptr);
 
 }  // namespace graphsig::graph
 

@@ -127,29 +127,6 @@ util::Result<wire::QueryReply> Client::Query(
   return wire::DecodeQueryReply(frame.payload);
 }
 
-util::Result<std::vector<wire::QueryReply>> Client::BatchQuery(
-    const std::vector<graph::Graph>& queries,
-    const wire::QueryOptions& options) {
-  wire::BatchQueryRequest request;
-  request.options = options;
-  request.queries = queries;
-  GS_ASSIGN_OR_RETURN(
-      wire::Frame raw,
-      RoundTrip(wire::MessageType::kBatchQuery,
-                wire::EncodeBatchQueryRequest(request)));
-  GS_ASSIGN_OR_RETURN(
-      wire::Frame frame,
-      ExpectType(std::move(raw), wire::MessageType::kBatchQueryReply));
-  GS_ASSIGN_OR_RETURN(std::vector<wire::QueryReply> replies,
-                      wire::DecodeBatchQueryReply(frame.payload));
-  if (replies.size() != queries.size()) {
-    return util::Status::Internal(util::StrPrintf(
-        "batch reply carries %zu results for %zu queries",
-        replies.size(), queries.size()));
-  }
-  return replies;
-}
-
 util::Result<std::vector<wire::QueryReply>> Client::PipelineQueries(
     const std::vector<graph::Graph>& queries,
     const wire::QueryOptions& options) {

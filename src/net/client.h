@@ -50,16 +50,11 @@ class Client {
   util::Result<wire::QueryReply> Query(const graph::Graph& query,
                                        const wire::QueryOptions& options = {});
 
-  // All queries in ONE BatchQuery frame; the server fans the batch out
-  // across its pool. Replies align positionally with `queries`.
-  util::Result<std::vector<wire::QueryReply>> BatchQuery(
-      const std::vector<graph::Graph>& queries,
-      const wire::QueryOptions& options = {});
-
   // Pipelining: writes every Query frame back-to-back, then reads the
-  // replies in order — same positional result as BatchQuery but as N
-  // independent server-side requests, so per-request admission control
-  // applies (any RETRY_LATER fails the whole pipeline as Unavailable).
+  // replies in order; replies align positionally with `queries`. Each
+  // frame is an independent server-side request, so per-request
+  // admission control applies (any RETRY_LATER fails the whole pipeline
+  // as Unavailable).
   util::Result<std::vector<wire::QueryReply>> PipelineQueries(
       const std::vector<graph::Graph>& queries,
       const wire::QueryOptions& options = {});

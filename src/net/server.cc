@@ -31,11 +31,6 @@ obs::Counter* FrameTypeCounter(wire::MessageType type) {
       static obs::Counter* const c = registry.GetCounter("net/frames/query");
       return c;
     }
-    case wire::MessageType::kBatchQuery: {
-      static obs::Counter* const c =
-          registry.GetCounter("net/frames/batch_query");
-      return c;
-    }
     case wire::MessageType::kStats: {
       static obs::Counter* const c = registry.GetCounter("net/frames/stats");
       return c;
@@ -356,7 +351,6 @@ void Server::DispatchRequest(uint64_t id, Connection* conn,
       return;
     }
     case wire::MessageType::kQuery:
-    case wire::MessageType::kBatchQuery:
     case wire::MessageType::kApproxQuery:
       break;
     default: {
@@ -405,8 +399,6 @@ std::string Server::ProcessRequest(const wire::Frame& frame) {
   switch (frame.type) {
     case wire::MessageType::kQuery:
       return ProcessQuery(frame.payload);
-    case wire::MessageType::kBatchQuery:
-      return ProcessBatchQuery(frame.payload);
     case wire::MessageType::kApproxQuery:
       return ProcessApprox(frame.payload);
     default:
@@ -427,24 +419,6 @@ std::string Server::ProcessQuery(std::string_view payload) {
   return wire::EncodeFrame(
       wire::MessageType::kQueryReply,
       wire::EncodeQueryReply(wire::ReplyFromResult(result)));
-}
-
-std::string Server::ProcessBatchQuery(std::string_view payload) {
-  auto request = wire::DecodeBatchQueryRequest(payload);
-  if (!request.ok()) return ErrorFrame(request.status());
-  serve::CatalogQueryConfig config;
-  config.compute_matches = request.value().options.compute_matches;
-  config.compute_score = request.value().options.compute_score;
-  const auto catalog = catalog_->Current();
-  const std::vector<serve::QueryResult> results =
-      catalog->QueryBatch(request.value().queries, config);
-  std::vector<wire::QueryReply> replies;
-  replies.reserve(results.size());
-  for (const serve::QueryResult& r : results) {
-    replies.push_back(wire::ReplyFromResult(r));
-  }
-  return wire::EncodeFrame(wire::MessageType::kBatchQueryReply,
-                           wire::EncodeBatchQueryReply(replies));
 }
 
 std::string Server::ProcessApprox(std::string_view payload) {

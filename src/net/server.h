@@ -20,11 +20,11 @@
 // gone. That split keeps all per-connection state single-threaded (no
 // locks, no torn states) while queries themselves run concurrently.
 //
-// Backpressure is explicit: at most max_inflight_requests frames may
+// Backpressure is explicit: at most max_inflight_requests requests may
 // be queued-or-executing at once; a request over that bound is
 // answered immediately with RETRY_LATER instead of buffering
-// unboundedly (admission is counted per frame — a batch frame admits
-// as one unit).
+// unboundedly. Every frame carries one request, so admission is
+// counted per request and one pool task serves it.
 //
 // Graceful drain (RequestShutdown, signal-safe): stop accepting/
 // reading, finish dispatched requests, flush every reply, then return
@@ -55,7 +55,7 @@ struct ServerConfig {
   // Hard cap on one frame's payload; larger announcements are protocol
   // errors and close the connection.
   size_t max_frame_bytes = wire::kDefaultMaxFrameBytes;
-  // Admission bound: frames queued-or-executing before RETRY_LATER.
+  // Admission bound: requests queued-or-executing before RETRY_LATER.
   size_t max_inflight_requests = 64;
   // Force-close straggling connections this long after drain starts.
   double drain_timeout_seconds = 5.0;
@@ -153,7 +153,6 @@ class Server {
   // Executed on a pool worker: returns the encoded reply frame.
   std::string ProcessRequest(const wire::Frame& frame);
   std::string ProcessQuery(std::string_view payload);
-  std::string ProcessBatchQuery(std::string_view payload);
   std::string ProcessApprox(std::string_view payload);
   std::string ProcessStats();
   std::string ProcessHealth();

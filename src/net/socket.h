@@ -47,12 +47,6 @@ class Socket {
 
   // Closes the current fd (if any) and adopts `fd`.
   void Reset(int fd = -1);
-  // Relinquishes ownership without closing.
-  int Release() {
-    int fd = fd_;
-    fd_ = -1;
-    return fd;
-  }
 
  private:
   int fd_ = -1;

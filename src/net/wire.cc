@@ -43,49 +43,12 @@ util::Result<QueryOptions> DecodeOptions(util::ByteReader* reader) {
   return options;
 }
 
-util::Result<QueryReply> DecodeOneReply(util::ByteReader* reader) {
-  QueryReply reply;
-  uint32_t num_matches = 0;
-  GS_RETURN_IF_ERROR(reader->ReadU32(&num_matches));
-  // Each id costs 4 payload bytes, so a count the buffer cannot back is
-  // rejected before any allocation.
-  if (num_matches > reader->remaining() / 4) {
-    return util::Status::ParseError(util::StrPrintf(
-        "match count %u exceeds remaining payload", num_matches));
-  }
-  reply.matched_patterns.resize(num_matches);
-  for (uint32_t i = 0; i < num_matches; ++i) {
-    GS_RETURN_IF_ERROR(reader->ReadI32(&reply.matched_patterns[i]));
-  }
-  uint8_t has_score = 0;
-  GS_RETURN_IF_ERROR(reader->ReadU8(&has_score));
-  if (has_score > 1) {
-    return util::Status::ParseError("has_score flag must be 0 or 1");
-  }
-  reply.has_score = has_score != 0;
-  GS_RETURN_IF_ERROR(reader->ReadF64(&reply.score));
-  GS_RETURN_IF_ERROR(reader->ReadI32(&reply.iso_calls));
-  GS_RETURN_IF_ERROR(reader->ReadI32(&reply.pruned));
-  return reply;
-}
-
-void EncodeOneReply(const QueryReply& reply, util::ByteWriter* w) {
-  w->WriteU32(static_cast<uint32_t>(reply.matched_patterns.size()));
-  for (int32_t id : reply.matched_patterns) w->WriteI32(id);
-  w->WriteU8(reply.has_score ? 1 : 0);
-  w->WriteF64(reply.score);
-  w->WriteI32(reply.iso_calls);
-  w->WriteI32(reply.pruned);
-}
-
 }  // namespace
 
 const char* MessageTypeName(MessageType type) {
   switch (type) {
     case MessageType::kQuery:
       return "Query";
-    case MessageType::kBatchQuery:
-      return "BatchQuery";
     case MessageType::kStats:
       return "Stats";
     case MessageType::kHealth:
@@ -94,8 +57,6 @@ const char* MessageTypeName(MessageType type) {
       return "ApproxQuery";
     case MessageType::kQueryReply:
       return "QueryReply";
-    case MessageType::kBatchQueryReply:
-      return "BatchQueryReply";
     case MessageType::kStatsReply:
       return "StatsReply";
     case MessageType::kHealthReply:
@@ -115,12 +76,10 @@ namespace {
 bool IsKnownType(uint8_t raw) {
   switch (static_cast<MessageType>(raw)) {
     case MessageType::kQuery:
-    case MessageType::kBatchQuery:
     case MessageType::kStats:
     case MessageType::kHealth:
     case MessageType::kApproxQuery:
     case MessageType::kQueryReply:
-    case MessageType::kBatchQueryReply:
     case MessageType::kStatsReply:
     case MessageType::kHealthReply:
     case MessageType::kApproxReply:
@@ -222,65 +181,43 @@ util::Result<QueryRequest> DecodeQueryRequest(std::string_view payload) {
   return request;
 }
 
-std::string EncodeBatchQueryRequest(const BatchQueryRequest& request) {
-  util::ByteWriter w;
-  EncodeOptions(request.options, &w);
-  w.WriteU32(static_cast<uint32_t>(request.queries.size()));
-  for (const graph::Graph& g : request.queries) graph::EncodeGraph(g, &w);
-  return std::move(w.TakeBuffer());
-}
-
-util::Result<BatchQueryRequest> DecodeBatchQueryRequest(
-    std::string_view payload) {
-  util::ByteReader reader(payload, "batch query request");
-  BatchQueryRequest request;
-  GS_ASSIGN_OR_RETURN(request.options, DecodeOptions(&reader));
-  uint32_t count = 0;
-  GS_RETURN_IF_ERROR(reader.ReadU32(&count));
-  // No reserve on the announced count: graphs decode one at a time and
-  // a lying count fails on the first missing byte.
-  for (uint32_t i = 0; i < count; ++i) {
-    reader.set_section(util::StrPrintf("batch query graph %u", i));
-    GS_ASSIGN_OR_RETURN(graph::Graph g, graph::DecodeGraph(&reader));
-    request.queries.push_back(std::move(g));
-  }
-  GS_RETURN_IF_ERROR(ExpectExhausted(reader));
-  return request;
-}
-
 std::string EncodeQueryReply(const QueryReply& reply) {
   util::ByteWriter w;
-  EncodeOneReply(reply, &w);
+  w.WriteU32(static_cast<uint32_t>(reply.matched_patterns.size()));
+  for (int32_t id : reply.matched_patterns) w.WriteI32(id);
+  w.WriteU8(reply.has_score ? 1 : 0);
+  w.WriteF64(reply.score);
+  w.WriteI32(reply.iso_calls);
+  w.WriteI32(reply.pruned);
   return std::move(w.TakeBuffer());
 }
 
 util::Result<QueryReply> DecodeQueryReply(std::string_view payload) {
   util::ByteReader reader(payload, "query reply");
-  GS_ASSIGN_OR_RETURN(QueryReply reply, DecodeOneReply(&reader));
+  QueryReply reply;
+  uint32_t num_matches = 0;
+  GS_RETURN_IF_ERROR(reader.ReadU32(&num_matches));
+  // Each id costs 4 payload bytes, so a count the buffer cannot back is
+  // rejected before any allocation.
+  if (num_matches > reader.remaining() / 4) {
+    return util::Status::ParseError(util::StrPrintf(
+        "match count %u exceeds remaining payload", num_matches));
+  }
+  reply.matched_patterns.resize(num_matches);
+  for (uint32_t i = 0; i < num_matches; ++i) {
+    GS_RETURN_IF_ERROR(reader.ReadI32(&reply.matched_patterns[i]));
+  }
+  uint8_t has_score = 0;
+  GS_RETURN_IF_ERROR(reader.ReadU8(&has_score));
+  if (has_score > 1) {
+    return util::Status::ParseError("has_score flag must be 0 or 1");
+  }
+  reply.has_score = has_score != 0;
+  GS_RETURN_IF_ERROR(reader.ReadF64(&reply.score));
+  GS_RETURN_IF_ERROR(reader.ReadI32(&reply.iso_calls));
+  GS_RETURN_IF_ERROR(reader.ReadI32(&reply.pruned));
   GS_RETURN_IF_ERROR(ExpectExhausted(reader));
   return reply;
-}
-
-std::string EncodeBatchQueryReply(const std::vector<QueryReply>& replies) {
-  util::ByteWriter w;
-  w.WriteU32(static_cast<uint32_t>(replies.size()));
-  for (const QueryReply& reply : replies) EncodeOneReply(reply, &w);
-  return std::move(w.TakeBuffer());
-}
-
-util::Result<std::vector<QueryReply>> DecodeBatchQueryReply(
-    std::string_view payload) {
-  util::ByteReader reader(payload, "batch query reply");
-  uint32_t count = 0;
-  GS_RETURN_IF_ERROR(reader.ReadU32(&count));
-  std::vector<QueryReply> replies;
-  for (uint32_t i = 0; i < count; ++i) {
-    reader.set_section(util::StrPrintf("batch reply %u", i));
-    GS_ASSIGN_OR_RETURN(QueryReply reply, DecodeOneReply(&reader));
-    replies.push_back(std::move(reply));
-  }
-  GS_RETURN_IF_ERROR(ExpectExhausted(reader));
-  return replies;
 }
 
 std::string EncodeStatsReply(const StatsReply& reply) {

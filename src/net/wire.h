@@ -52,16 +52,17 @@ inline constexpr size_t kFrameHeaderBytes = 16;
 // protocol error, not an allocation.
 inline constexpr size_t kDefaultMaxFrameBytes = 16u << 20;
 
+// Every request frame carries one request. Types 2 and 66, the retired
+// BatchQuery pair, stay unassigned, so a frame of either is refused at
+// the header as an unknown type.
 enum class MessageType : uint8_t {
   // Requests (client -> server).
   kQuery = 1,
-  kBatchQuery = 2,
   kStats = 3,   // no payload
   kHealth = 4,  // no payload
   kApproxQuery = 5,
   // Responses (server -> client); request type + 64.
   kQueryReply = 65,
-  kBatchQueryReply = 66,
   kStatsReply = 67,
   kHealthReply = 68,
   kApproxReply = 69,
@@ -128,13 +129,6 @@ struct QueryRequest {
   graph::Graph query;
 
   bool operator==(const QueryRequest&) const = default;
-};
-
-struct BatchQueryRequest {
-  QueryOptions options;
-  std::vector<graph::Graph> queries;
-
-  bool operator==(const BatchQueryRequest&) const = default;
 };
 
 struct QueryReply {
@@ -221,16 +215,8 @@ struct ErrorReply {
 std::string EncodeQueryRequest(const QueryRequest& request);
 util::Result<QueryRequest> DecodeQueryRequest(std::string_view payload);
 
-std::string EncodeBatchQueryRequest(const BatchQueryRequest& request);
-util::Result<BatchQueryRequest> DecodeBatchQueryRequest(
-    std::string_view payload);
-
 std::string EncodeQueryReply(const QueryReply& reply);
 util::Result<QueryReply> DecodeQueryReply(std::string_view payload);
-
-std::string EncodeBatchQueryReply(const std::vector<QueryReply>& replies);
-util::Result<std::vector<QueryReply>> DecodeBatchQueryReply(
-    std::string_view payload);
 
 std::string EncodeStatsReply(const StatsReply& reply);
 util::Result<StatsReply> DecodeStatsReply(std::string_view payload);

@@ -69,10 +69,6 @@ void ByteWriter::PatchU32(size_t offset, uint32_t v) {
   PatchLe(&buffer_, offset, v);
 }
 
-void ByteWriter::PatchU64(size_t offset, uint64_t v) {
-  PatchLe(&buffer_, offset, v);
-}
-
 Status ByteReader::Take(size_t n, const char** out) {
   if (n > remaining()) {
     return Status::OutOfRange(StrPrintf(

@@ -38,7 +38,6 @@ class ByteWriter {
   // section table once section sizes are known). The range must already
   // exist.
   void PatchU32(size_t offset, uint32_t v);
-  void PatchU64(size_t offset, uint64_t v);
 
   size_t size() const { return buffer_.size(); }
   const std::string& buffer() const { return buffer_; }

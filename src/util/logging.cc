@@ -85,6 +85,5 @@ void LogInfo(const std::string& message) { Log(LogLevel::kInfo, message); }
 void LogWarning(const std::string& message) {
   Log(LogLevel::kWarning, message);
 }
-void LogError(const std::string& message) { Log(LogLevel::kError, message); }
 
 }  // namespace graphsig::util

@@ -30,7 +30,6 @@ void FlushLogs();
 void LogDebug(const std::string& message);
 void LogInfo(const std::string& message);
 void LogWarning(const std::string& message);
-void LogError(const std::string& message);
 
 }  // namespace graphsig::util
 

@@ -95,6 +95,4 @@ size_t Rng::NextWeighted(const std::vector<double>& weights) {
   return weights.size() - 1;
 }
 
-Rng Rng::Fork() { return Rng(NextU64()); }
-
 }  // namespace graphsig::util

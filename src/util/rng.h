@@ -50,10 +50,6 @@ class Rng {
     }
   }
 
-  // Derives an independent child generator; useful for giving each graph
-  // or each fold its own stream without correlation.
-  Rng Fork();
-
  private:
   uint64_t s_[4];
 };

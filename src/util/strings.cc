@@ -35,16 +35,6 @@ std::vector<std::string> SplitFields(std::string_view input, char delim) {
   return out;
 }
 
-std::string Join(const std::vector<std::string>& parts,
-                 std::string_view sep) {
-  std::string out;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) out += sep;
-    out += parts[i];
-  }
-  return out;
-}
-
 std::string_view Trim(std::string_view s) {
   size_t b = 0;
   while (b < s.size() && std::isspace(static_cast<unsigned char>(s[b]))) ++b;

@@ -17,10 +17,6 @@ std::vector<std::string> SplitTokens(std::string_view input,
 // Splits on exactly `delim`, preserving empty fields (CSV-style).
 std::vector<std::string> SplitFields(std::string_view input, char delim);
 
-// Joins with `sep` between elements.
-std::string Join(const std::vector<std::string>& parts,
-                 std::string_view sep);
-
 // Removes leading/trailing whitespace.
 std::string_view Trim(std::string_view s);
 

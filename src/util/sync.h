@@ -89,7 +89,6 @@ class GS_CAPABILITY("mutex") Mutex {
 
   void Lock() GS_ACQUIRE() { mu_.lock(); }
   void Unlock() GS_RELEASE() { mu_.unlock(); }
-  bool TryLock() GS_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
   friend class CondVar;

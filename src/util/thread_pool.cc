@@ -28,32 +28,29 @@ struct PoolMetrics {
   }
 };
 
-// Identifies the pool (and worker slot) the current thread belongs to,
-// so Submit() can route a worker's own submissions to its own deque and
-// nested parallel regions stay on the hot path.
-thread_local ThreadPool* tls_pool = nullptr;
-thread_local size_t tls_worker_index = 0;
+// The pool the current thread works for, if any (OnWorkerThread).
+thread_local const ThreadPool* tls_pool = nullptr;
 
 }  // namespace
 
 ThreadPool::ThreadPool(int num_threads) {
-  const size_t n = static_cast<size_t>(std::max(num_threads, 1));
-  deques_.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    deques_.push_back(std::make_unique<WorkerDeque>());
-  }
-  workers_.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+  const int n = std::max(num_threads, 1);
+  workers_.reserve(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    workers_.emplace_back([this] {
+      tls_pool = this;
+      while (RunTask(/*wait=*/true)) {
+      }
+    });
   }
 }
 
 ThreadPool::~ThreadPool() {
   {
-    MutexLock lock(&sleep_mutex_);
+    MutexLock lock(&mutex_);
     stopping_ = true;
   }
-  sleep_cv_.NotifyAll();
+  cv_.NotifyAll();
   for (std::thread& t : workers_) t.join();
 }
 
@@ -67,74 +64,32 @@ ThreadPool& ThreadPool::Global() {
 bool ThreadPool::OnWorkerThread() const { return tls_pool == this; }
 
 void ThreadPool::Submit(std::function<void()> task) {
-  const size_t index =
-      OnWorkerThread()
-          ? tls_worker_index
-          : submit_cursor_.fetch_add(1, std::memory_order_relaxed) %
-                deques_.size();
+  size_t depth = 0;
   {
-    MutexLock lock(&deques_[index]->mutex);
-    deques_[index]->tasks.push_back(std::move(task));
+    MutexLock lock(&mutex_);
+    tasks_.push_back(std::move(task));
+    depth = tasks_.size();
   }
-  const int64_t depth = queued_.fetch_add(1, std::memory_order_release) + 1;
   const PoolMetrics& metrics = PoolMetrics::Get();
   metrics.submitted->Increment();
-  metrics.queue_depth_hwm->UpdateMax(depth);
-  // Empty critical section: a worker between its queue check and its
-  // cv wait holds sleep_mutex_, so this cannot slip past it unseen.
-  { MutexLock lock(&sleep_mutex_); }
-  sleep_cv_.NotifyOne();
+  metrics.queue_depth_hwm->UpdateMax(static_cast<int64_t>(depth));
+  cv_.NotifyOne();
 }
 
-bool ThreadPool::PopTask(size_t queue_index, bool lifo,
-                         std::function<void()>* out) {
-  WorkerDeque& dq = *deques_[queue_index];
-  MutexLock lock(&dq.mutex);
-  if (dq.tasks.empty()) return false;
-  if (lifo) {
-    *out = std::move(dq.tasks.back());
-    dq.tasks.pop_back();
-  } else {
-    *out = std::move(dq.tasks.front());
-    dq.tasks.pop_front();
-  }
-  queued_.fetch_sub(1, std::memory_order_relaxed);
-  return true;
-}
+bool ThreadPool::RunOneTask() { return RunTask(/*wait=*/false); }
 
-bool ThreadPool::TryRunTask(size_t home_index) {
+bool ThreadPool::RunTask(bool wait) {
   std::function<void()> task;
-  // Own deque first (LIFO: the task just pushed by a nested region is
-  // the cache-hot one), then steal oldest-first from siblings.
-  if (!PopTask(home_index, /*lifo=*/true, &task)) {
-    bool found = false;
-    for (size_t step = 1; step < deques_.size() && !found; ++step) {
-      found = PopTask((home_index + step) % deques_.size(), /*lifo=*/false,
-                      &task);
-    }
-    if (!found) return false;
+  {
+    MutexLock lock(&mutex_);
+    while (wait && !stopping_ && tasks_.empty()) cv_.Wait(&mutex_);
+    if (tasks_.empty()) return false;
+    task = std::move(tasks_.front());
+    tasks_.pop_front();
   }
   PoolMetrics::Get().executed->Increment();
   task();
   return true;
-}
-
-bool ThreadPool::RunOneTask() {
-  const size_t home = OnWorkerThread() ? tls_worker_index : 0;
-  return TryRunTask(home);
-}
-
-void ThreadPool::WorkerLoop(size_t worker_index) {
-  tls_pool = this;
-  tls_worker_index = worker_index;
-  while (true) {
-    if (TryRunTask(worker_index)) continue;
-    MutexLock lock(&sleep_mutex_);
-    while (!stopping_ && queued_.load(std::memory_order_acquire) <= 0) {
-      sleep_cv_.Wait(&sleep_mutex_);
-    }
-    if (stopping_) return;
-  }
 }
 
 void TaskGroup::Run(std::function<void()> fn) {
@@ -179,7 +134,7 @@ void TaskGroup::WaitNoThrow() {
     // safe: a worker waiting on an inner group keeps draining the pool,
     // so the inner tasks it depends on always make progress.
     if (pool_->RunOneTask()) continue;
-    // Nothing stealable: our remaining tasks are mid-flight on other
+    // Nothing queued: our remaining tasks are mid-flight on other
     // threads. The timed wait covers the benign race where the last
     // task finishes between the pending check and this wait; the outer
     // loop re-checks pending_, so spurious wakeups only spin once.

@@ -2,12 +2,10 @@
 #define GRAPHSIG_UTIL_THREAD_POOL_H_
 
 #include <atomic>
-#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -15,17 +13,17 @@
 
 namespace graphsig::util {
 
-// A persistent work-stealing thread pool. Workers are spawned once and
-// reused across every parallel phase of the pipeline, so callers that
-// fan out repeatedly (FVMine per label group, per-vector region mining,
-// batched query serving) never pay per-call thread spawn/join costs.
+// A persistent thread pool. Workers are spawned once and reused across
+// every parallel phase of the pipeline, so callers that fan out
+// repeatedly (FVMine per label group, per-vector region mining, a
+// served request per pool task) never pay per-call thread spawn/join
+// costs.
 //
-// Each worker owns a deque: it pushes and pops its own work LIFO (hot
-// caches for nested fan-out) and steals FIFO from siblings when its own
-// deque drains (oldest work first, the classic Cilk/TBB discipline).
-// Threads that block in TaskGroup::Wait help by stealing too, so nested
-// parallel regions (a pool task that itself calls ParallelFor) cannot
-// deadlock the pool.
+// One mutex-guarded FIFO queue feeds every worker: a task runs on
+// whichever thread pops it first. Threads that block in
+// TaskGroup::Wait pop and run queued tasks too, so a nested parallel
+// region (a pool task that itself calls ParallelFor) cannot deadlock
+// the pool, even one with a single worker.
 //
 // The pool itself imposes no ordering; determinism is the caller's
 // contract (each task writes only its own slots, merges happen on the
@@ -34,6 +32,7 @@ class ThreadPool {
  public:
   // Spawns `num_threads` workers (clamped to >= 1).
   explicit ThreadPool(int num_threads);
+  // Lets the workers run every queued task, then joins them.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -41,14 +40,13 @@ class ThreadPool {
 
   int num_workers() const { return static_cast<int>(workers_.size()); }
 
-  // Enqueues `task` for execution on some worker. Tasks submitted from a
-  // worker thread go to that worker's own deque; external submissions are
-  // spread round-robin. `task` must not throw out of the pool unwrapped —
-  // use TaskGroup, which wraps tasks with exception capture.
+  // Appends `task` to the queue; the first free thread runs it. `task`
+  // must not throw out of the pool unwrapped — use TaskGroup, which
+  // wraps tasks with exception capture.
   void Submit(std::function<void()> task);
 
-  // Runs one pending task on the calling thread if any is queued.
-  // Returns false without blocking when every deque is empty. Used by
+  // Runs the oldest queued task on the calling thread, if any.
+  // Returns false without blocking when the queue is empty. Used by
   // TaskGroup::Wait to help instead of idling.
   bool RunOneTask();
 
@@ -60,27 +58,18 @@ class ThreadPool {
   bool OnWorkerThread() const;
 
  private:
-  struct WorkerDeque {
-    Mutex mutex;
-    std::deque<std::function<void()>> tasks GS_GUARDED_BY(mutex);
-  };
+  // Pops and runs the oldest task. With `wait`, first blocks until a
+  // task is queued or the pool stops. False when it ran none.
+  bool RunTask(bool wait);
 
-  void WorkerLoop(size_t worker_index);
-  bool TryRunTask(size_t home_index);
-  bool PopTask(size_t queue_index, bool lifo, std::function<void()>* out);
-
-  std::vector<std::unique_ptr<WorkerDeque>> deques_ GS_UNGUARDED_BY_DESIGN(
-      "sized in the constructor before any worker starts; the vector "
-      "itself is never resized afterwards (per-deque state is guarded "
-      "by each WorkerDeque::mutex)");
+  Mutex mutex_;
+  CondVar cv_;  // signalled on Submit and on stop
+  std::deque<std::function<void()>> tasks_ GS_GUARDED_BY(mutex_);
+  bool stopping_ GS_GUARDED_BY(mutex_) = false;
+  // Declared after the queue state the workers use.
   std::vector<std::thread> workers_ GS_UNGUARDED_BY_DESIGN(
       "populated in the constructor, joined in the destructor; no "
       "concurrent access in between");
-  std::atomic<size_t> submit_cursor_{0};
-  std::atomic<int64_t> queued_{0};  // tasks enqueued, not yet dequeued
-  Mutex sleep_mutex_;
-  CondVar sleep_cv_;
-  bool stopping_ GS_GUARDED_BY(sleep_mutex_) = false;
 };
 
 // Tracks a batch of tasks submitted to a ThreadPool, propagating the
@@ -105,8 +94,8 @@ class TaskGroup {
   void RunInline(const std::function<void()>& fn);
 
   // Blocks until every task submitted through Run() has finished,
-  // stealing pool work while it waits. Rethrows the first captured
-  // exception (from Run or RunInline tasks) on this thread.
+  // running queued pool tasks while it waits. Rethrows the first
+  // captured exception (from Run or RunInline tasks) on this thread.
   void Wait();
 
   // True once any task in the group has thrown.

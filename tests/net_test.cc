@@ -12,9 +12,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
 
 #include <atomic>
+#include <chrono>
+#include <fstream>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -33,6 +36,7 @@
 #include "serve/catalog_handle.h"
 #include "serve/pattern_catalog.h"
 #include "util/check.h"
+#include "util/logging.h"
 #include "util/status.h"
 
 namespace graphsig::net {
@@ -206,12 +210,13 @@ TEST(WireFrameTest, RejectsCorruptHeaders) {
     decoder.Append(bad);
     EXPECT_FALSE(decoder.Next().ok());
   }
-  {  // Unknown message type.
+  // Unknown message types, including 2 and 66, which stay unassigned.
+  for (const int type : {200, 2, 66}) {
     std::string bad = good;
-    bad[5] = static_cast<char>(200);
+    bad[5] = static_cast<char>(type);
     wire::FrameDecoder decoder;
     decoder.Append(bad);
-    EXPECT_FALSE(decoder.Next().ok());
+    EXPECT_FALSE(decoder.Next().ok()) << "type " << type;
   }
   {  // Nonzero reserved bits.
     std::string bad = good;
@@ -327,13 +332,6 @@ TEST(WireCodecTest, TypedMessagesRoundTrip) {
   ASSERT_TRUE(query_again.ok());
   EXPECT_TRUE(query_again.value() == query);
 
-  wire::BatchQueryRequest batch;
-  batch.queries = {f.db.graph(0), f.db.graph(1)};
-  auto batch_again =
-      wire::DecodeBatchQueryRequest(wire::EncodeBatchQueryRequest(batch));
-  ASSERT_TRUE(batch_again.ok());
-  EXPECT_TRUE(batch_again.value() == batch);
-
   wire::QueryReply reply;
   reply.matched_patterns = {1, 5, 9};
   reply.has_score = true;
@@ -343,12 +341,6 @@ TEST(WireCodecTest, TypedMessagesRoundTrip) {
   auto reply_again = wire::DecodeQueryReply(wire::EncodeQueryReply(reply));
   ASSERT_TRUE(reply_again.ok());
   EXPECT_TRUE(reply_again.value() == reply);
-
-  auto batch_reply_again =
-      wire::DecodeBatchQueryReply(wire::EncodeBatchQueryReply({reply, {}}));
-  ASSERT_TRUE(batch_reply_again.ok());
-  ASSERT_EQ(batch_reply_again.value().size(), 2u);
-  EXPECT_TRUE(batch_reply_again.value()[0] == reply);
 
   wire::StatsReply stats;
   stats.serving.queries = 7;
@@ -532,7 +524,9 @@ TEST(NetServerTest, QueryOptionsFlagsReachTheCatalog) {
             ExpectedReplyBytes(f.db.graph(0), match_only));
 }
 
-TEST(NetServerTest, BatchAndPipelineAgreeWithSingles) {
+// Pool workers finish pipelined requests in any order; the server must
+// still write their replies in request order.
+TEST(NetServerTest, PipelineAgreesWithSingles) {
   const Fixture& f = SharedFixture();
   TestServer server;
   Client client(MakeClientConfig(server.port()));
@@ -542,16 +536,13 @@ TEST(NetServerTest, BatchAndPipelineAgreeWithSingles) {
   for (size_t g = 0; g < 10 && g < f.db.size(); ++g) {
     queries.push_back(f.db.graph(g));
   }
-  auto batched = client.BatchQuery(queries);
-  ASSERT_TRUE(batched.ok()) << batched.status().ToString();
   auto pipelined = client.PipelineQueries(queries);
   ASSERT_TRUE(pipelined.ok()) << pipelined.status().ToString();
-  ASSERT_EQ(batched.value().size(), queries.size());
   ASSERT_EQ(pipelined.value().size(), queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
-    const std::string expected = ExpectedReplyBytes(queries[i]);
-    EXPECT_EQ(wire::EncodeQueryReply(batched.value()[i]), expected) << i;
-    EXPECT_EQ(wire::EncodeQueryReply(pipelined.value()[i]), expected) << i;
+    EXPECT_EQ(wire::EncodeQueryReply(pipelined.value()[i]),
+              ExpectedReplyBytes(queries[i]))
+        << i;
   }
 }
 
@@ -620,6 +611,68 @@ TEST(NetServerTest, StatsReportsActiveGeneration) {
   auto stats = client.Stats();
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(stats.value().generation, 9u);
+}
+
+// ServerConfig::stats_log_period_seconds turns on one structured
+// "stats: {...}" log line per period. A few served queries must show up
+// in a later line's "queries" count.
+TEST(NetServerTest, PeriodicStatsLineCarriesServedQueries) {
+  const Fixture& f = SharedFixture();
+  // A catalog of its own, so the cumulative count holds only the
+  // queries served here.
+  auto catalog = serve::PatternCatalog::FromArtifact(f.catalog->artifact());
+  ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
+  serve::CatalogHandle handle(std::make_shared<const serve::PatternCatalog>(
+      std::move(catalog).value()));
+
+  // The log goes to a file that this test reads back through its own
+  // stream; the guard restores stderr and the level on every exit.
+  const std::string path = testing::TempDir() + "/net_stats_log.txt";
+  std::FILE* log = std::fopen(path.c_str(), "w");
+  ASSERT_NE(log, nullptr);
+  struct LogGuard {
+    std::FILE* file;
+    const std::string& path;
+    util::LogLevel level = util::GetLogLevel();
+    ~LogGuard() {
+      util::SetLogTarget(nullptr);
+      util::SetLogLevel(level);
+      std::fclose(file);
+      std::remove(path.c_str());
+    }
+  } guard{log, path};
+  util::SetLogLevel(util::LogLevel::kInfo);
+  util::SetLogTarget(log);
+
+  ServerConfig config;
+  config.stats_log_period_seconds = 0.05;
+  TestServer server(config, &handle);
+  Client client(MakeClientConfig(server.port()));
+  ASSERT_TRUE(client.Connect().ok());
+  constexpr int kQueries = 3;
+  for (int i = 0; i < kQueries; ++i) {
+    ASSERT_TRUE(client.Query(f.db.graph(static_cast<size_t>(i))).ok());
+  }
+
+  const std::string wanted =
+      "\"queries\": " + std::to_string(kQueries) + ",";
+  bool found = false;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!found && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    util::FlushLogs();
+    std::ifstream in(path);
+    std::string line;
+    while (std::getline(in, line)) {
+      if (line.find("stats: {") != std::string::npos &&
+          line.find(wanted) != std::string::npos) {
+        found = true;
+      }
+    }
+  }
+  server.Shutdown();
+  EXPECT_TRUE(found) << "no stats line carries " << wanted;
 }
 
 // The streaming pipeline's serving contract: a generation swap while
@@ -800,13 +853,26 @@ TEST(NetServerTest, MalformedFrameGetsErrorReplyThenClose) {
   EXPECT_GE(errors_before, 1u);
 
   // A frame with a corrupted payload (CRC mismatch) is also fatal.
-  std::string corrupt = wire::EncodeFrame(
-      wire::MessageType::kQuery,
-      wire::EncodeQueryRequest({{}, f.db.graph(0)}));
+  const std::string query = wire::EncodeQueryRequest({{}, f.db.graph(0)});
+  std::string corrupt = wire::EncodeFrame(wire::MessageType::kQuery, query);
   corrupt[wire::kFrameHeaderBytes] ^= 0x40;
   ExpectErrorThenClose(server.port(), corrupt);
 
-  // The server survives both: a fresh client still gets served.
+  // Types 2 and 66 are unassigned: a frame of either is refused at the
+  // header. The payload is a one-query batch as the retired type-2
+  // request spelled it: options, a u32 count, the graph.
+  const std::string batch =
+      query.substr(0, 1) + std::string("\x01\0\0\0", 4) + query.substr(1);
+  for (const int type : {2, 66}) {
+    SCOPED_TRACE(type);
+    const uint64_t before = server.server().counters().protocol_errors;
+    ExpectErrorThenClose(
+        server.port(),
+        wire::EncodeFrame(static_cast<wire::MessageType>(type), batch));
+    EXPECT_EQ(server.server().counters().protocol_errors, before + 1);
+  }
+
+  // The server survives all of them: a fresh client still gets served.
   Client client(MakeClientConfig(server.port()));
   ASSERT_TRUE(client.Connect().ok());
   auto reply = client.Query(f.db.graph(0));

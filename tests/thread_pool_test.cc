@@ -137,7 +137,7 @@ TEST(ThreadPoolTest, ZeroAndOneItemCounts) {
 TEST(ThreadPoolTest, RunOneTaskFromOutsideHelps) {
   ThreadPool pool(1);
   // Saturate the single worker with a task that waits for the main
-  // thread's help, proving outside threads can steal queued work.
+  // thread's help, proving outside threads can run queued work.
   std::atomic<bool> helped{false};
   TaskGroup group(&pool);
   group.Run([&] {
@@ -151,6 +151,30 @@ TEST(ThreadPoolTest, RunOneTaskFromOutsideHelps) {
   }
   group.Wait();
   EXPECT_TRUE(helped.load());
+}
+
+TEST(ThreadPoolTest, OneWorkerRunsItsNestedTasksWhileWaiting) {
+  ThreadPool pool(1);
+  constexpr int kSubtasks = 8;
+  std::atomic<int> ran_on_worker{0};
+  std::atomic<bool> done{false};
+  TaskGroup outer(&pool);
+  outer.Run([&] {
+    // The pool's only worker is busy here and the test thread does not
+    // help, so only this task's own Wait can run the subtasks.
+    const std::thread::id worker = std::this_thread::get_id();
+    TaskGroup inner(&pool);
+    for (int i = 0; i < kSubtasks; ++i) {
+      inner.Run([&] {
+        if (std::this_thread::get_id() == worker) ++ran_on_worker;
+      });
+    }
+    inner.Wait();
+    done.store(true);
+  });
+  while (!done.load()) std::this_thread::yield();
+  outer.Wait();
+  EXPECT_EQ(ran_on_worker.load(), kSubtasks);
 }
 
 TEST(ThreadPoolTest, ManyGroupsReuseOneGlobalPool) {

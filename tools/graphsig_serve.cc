@@ -1,7 +1,7 @@
 // graphsig_serve: the GraphSig query daemon. Loads a model artifact,
-// then serves Query/BatchQuery/Stats/Health RPCs over the binary wire
+// then serves Query/ApproxQuery/Stats/Health RPCs over the binary wire
 // protocol (src/net/wire.h) from a non-blocking epoll loop, dispatching
-// decoded requests onto the shared thread pool.
+// each decoded query onto the shared thread pool as one task.
 //
 //   graphsig_serve --model=model.gsig [--host=127.0.0.1] [--port=7117]
 //                  [--max-inflight=64] [--max-frame-mb=16] [--drain-timeout=5]
