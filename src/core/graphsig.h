@@ -91,6 +91,7 @@ struct GraphSigStats {
   int64_t num_significant_vectors = 0;  // FVMine outputs across groups
   int64_t num_sets_mined = 0;          // region sets that reached FSM
   int64_t num_sets_filtered = 0;       // false-positive sets (no pattern)
+  int64_t num_sets_capped = 0;  // sets whose gSpan run hit the pattern cap
   // Region-cut cache effectiveness: cuts requested across all region
   // sets vs distinct (graph, node) cuts actually computed. Their ratio
   // is the dedup factor the cache buys.

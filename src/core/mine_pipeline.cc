@@ -9,6 +9,7 @@
 #include "fsm/dfs_code.h"
 #include "fsm/maximal.h"
 #include "fsm/miner.h"
+#include "graph/containment_signature.h"
 #include "graph/isomorphism.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -155,7 +156,7 @@ graph::Graph CutRegion(const graph::Graph& host, int32_t graph_index,
 
 RegionTaskOutput MineRegionTask(const GraphSigConfig& config, Label label,
                                 const fvmine::SignificantVector& sv,
-                                const GraphDatabase& regions) {
+                                std::span<const graph::Graph* const> regions) {
   RegionTaskOutput output;
   fsm::MinerConfig miner_config;
   miner_config.min_support = std::max<int64_t>(
@@ -164,26 +165,33 @@ RegionTaskOutput MineRegionTask(const GraphSigConfig& config, Label label,
   miner_config.max_edges = config.fsm_max_edges;
   miner_config.max_patterns = kMaxPatternsPerSet;
   fsm::MineResult mined = fsm::MineMaximalGSpan(regions, miner_config);
+  output.capped = !mined.completed;
   if (mined.patterns.empty()) {
     // False positive: similar vectors, no common structure (the line-13
     // pruning the paper describes).
     output.filtered = true;
     return output;
   }
-  for (const fsm::Pattern& pattern : mined.patterns) {
+  for (fsm::Pattern& pattern : mined.patterns) {
     if (pattern.graph.num_edges() < 1) continue;
+    std::string key = fsm::CanonicalCode(pattern.graph);
     SignificantSubgraph candidate;
-    candidate.subgraph = pattern.graph;
+    candidate.subgraph = std::move(pattern.graph);
     candidate.vector = sv.vector;
     candidate.vector_pvalue = sv.p_value;
     candidate.vector_support = sv.support;
     candidate.anchor_label = label;
     candidate.set_size = static_cast<int64_t>(regions.size());
     candidate.set_support = pattern.support;
-    output.dedup.emplace(fsm::CanonicalCode(pattern.graph),
-                         std::move(candidate));
+    output.dedup.emplace(std::move(key), std::move(candidate));
   }
   return output;
+}
+
+RegionTaskOutput MineRegionTask(const GraphSigConfig& config, Label label,
+                                const fvmine::SignificantVector& sv,
+                                const GraphDatabase& regions) {
+  return MineRegionTask(config, label, sv, regions.GraphPointers());
 }
 
 void MergeRegionOutput(RegionTaskOutput&& output,
@@ -191,6 +199,12 @@ void MergeRegionOutput(RegionTaskOutput&& output,
                        GraphSigStats* stats) {
   ++stats->num_sets_mined;
   if (output.filtered) ++stats->num_sets_filtered;
+  if (output.capped) ++stats->num_sets_capped;
+  // Which sets hit the cap is a pure function of the input, and merging
+  // is serial, so this is a deterministic work counter (DESIGN.md §12).
+  static obs::Counter* const sets_capped =
+      obs::MetricsRegistry::Global().GetCounter("mine/region_sets_capped");
+  sets_capped->Add(output.capped ? 1 : 0);
   for (auto& [key, candidate] : output.dedup) {
     auto it = dedup->find(key);
     if (it == dedup->end()) {
@@ -207,11 +221,22 @@ void ComputeDbFrequencies(const GraphSigConfig& config,
                           const GraphDatabase& db,
                           std::vector<SignificantSubgraph>* subgraphs) {
   if (!config.compute_db_frequency) return;
+  // Signatures rule most (pattern, graph) pairs out before VF2 runs.
+  std::vector<graph::ContainmentSignature> db_signatures;
+  db_signatures.reserve(db.size());
+  for (const graph::Graph& g : db.graphs()) {
+    db_signatures.push_back(graph::SignatureOf(g));
+  }
   util::ParallelFor(config.num_threads, subgraphs->size(), [&](size_t i) {
     SignificantSubgraph& sg = (*subgraphs)[i];
+    const graph::ContainmentSignature signature =
+        graph::SignatureOf(sg.subgraph);
     int64_t frequency = 0;
-    for (const graph::Graph& g : db.graphs()) {
-      if (graph::IsSubgraphIsomorphic(sg.subgraph, g)) ++frequency;
+    for (size_t j = 0; j < db.size(); ++j) {
+      if (graph::SignatureAdmits(signature, db_signatures[j]) &&
+          graph::IsSubgraphIsomorphic(sg.subgraph, db.graph(j))) {
+        ++frequency;
+      }
     }
     sg.db_frequency = frequency;
   });
@@ -253,16 +278,17 @@ void MineGraphHalf(const GraphSigConfig& config, const GraphDatabase& db,
                         config.cutoff_radius);
   });
 
-  // Pass 3: mine every region set as a pool task.
+  // Pass 3: mine every region set as a pool task. A task borrows its
+  // cuts: the slots stay put, read-only, until the barrier.
   std::vector<RegionTaskOutput> outputs(plan.tasks.size());
   util::ParallelFor(config.num_threads, plan.tasks.size(), [&](size_t t) {
     const RegionTask& task = plan.tasks[t];
-    GraphDatabase regions;
-    regions.Reserve(task.chosen.size());
+    std::vector<const graph::Graph*> regions;
+    regions.reserve(task.chosen.size());
     for (int32_t vector_index : task.chosen) {
       const NodeVector& nv = node_vectors[vector_index];
-      regions.Add(
-          cuts[plan.cut_slot.at(RegionCutKey(nv.graph_index, nv.node))]);
+      regions.push_back(
+          &cuts[plan.cut_slot.at(RegionCutKey(nv.graph_index, nv.node))]);
     }
     outputs[t] = MineRegionTask(config, task.label,
                                 half.significant[task.sv_index].second,

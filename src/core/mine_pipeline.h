@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -87,9 +88,17 @@ graph::Graph CutRegion(const graph::Graph& host, int32_t graph_index,
 struct RegionTaskOutput {
   std::map<std::string, SignificantSubgraph> dedup;  // canonical -> best
   bool filtered = false;  // no common structure (line-13 pruning)
+  // gSpan stopped at the per-set pattern cap: the set's maximal patterns
+  // are taken over the patterns it visited.
+  bool capped = false;
 };
 
-// Pass-3 body: maximal FSM over one assembled region set.
+// Pass-3 body: maximal FSM over one region set, whose cuts it borrows.
+RegionTaskOutput MineRegionTask(const GraphSigConfig& config,
+                                graph::Label label,
+                                const fvmine::SignificantVector& sv,
+                                std::span<const graph::Graph* const> regions);
+// The same over a region set held as a database.
 RegionTaskOutput MineRegionTask(const GraphSigConfig& config,
                                 graph::Label label,
                                 const fvmine::SignificantVector& sv,
@@ -97,7 +106,8 @@ RegionTaskOutput MineRegionTask(const GraphSigConfig& config,
 
 // Folds one task's output into the global dedup map; must be called in
 // task order with the same better-candidate rule for every thread
-// count. Also advances the sets-mined/filtered stats.
+// count. Also advances the sets-mined/filtered/capped stats and the
+// mine/region_sets_capped work counter.
 void MergeRegionOutput(RegionTaskOutput&& output,
                        std::map<std::string, SignificantSubgraph>* dedup,
                        GraphSigStats* stats);

@@ -12,7 +12,7 @@ void WriteReport(const GraphSigResult& result, size_t db_size,
   os << util::StrPrintf(
       "GraphSig result: %zu significant subgraphs\n"
       "vectors=%lld groups=%lld significant-vectors=%lld "
-      "sets-mined=%lld sets-filtered=%lld\n"
+      "sets-mined=%lld sets-filtered=%lld sets-capped=%lld\n"
       "time: total=%.3fs rwr=%.3fs feature=%.3fs fsm=%.3fs\n\n",
       result.subgraphs.size(),
       static_cast<long long>(result.stats.num_vectors),
@@ -20,6 +20,7 @@ void WriteReport(const GraphSigResult& result, size_t db_size,
       static_cast<long long>(result.stats.num_significant_vectors),
       static_cast<long long>(result.stats.num_sets_mined),
       static_cast<long long>(result.stats.num_sets_filtered),
+      static_cast<long long>(result.stats.num_sets_capped),
       result.profile.total_seconds, result.profile.rwr_seconds,
       result.profile.feature_seconds, result.profile.fsm_seconds);
   size_t shown = 0;

@@ -7,6 +7,7 @@
 #include <tuple>
 
 #include "fsm/dfs_code.h"
+#include "fsm/maximal.h"
 #include "fsm/miner.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -26,9 +27,11 @@ namespace {
 
 using graph::AdjEntry;
 using graph::Graph;
-using graph::GraphDatabase;
 using graph::Label;
 using graph::VertexId;
+
+// The graphs one run mines, borrowed: gid k is *db[k].
+using GraphSpan = std::span<const Graph* const>;
 
 // One edge of an embedding chain. `edge` points into an adjacency list
 // of the database graph, which outlives the run; `prev` points at the
@@ -358,20 +361,28 @@ class Frame {
 };
 
 // A history that covers every graph of `db`.
-StampedHistory HistoryFor(const GraphDatabase& db) {
+StampedHistory HistoryFor(GraphSpan db) {
   int32_t max_vertices = 0;
   int32_t max_edges = 0;
-  for (size_t gid = 0; gid < db.size(); ++gid) {
-    max_vertices = std::max(max_vertices, db.graph(gid).num_vertices());
-    max_edges = std::max(max_edges, db.graph(gid).num_edges());
+  for (const Graph* g : db) {
+    max_vertices = std::max(max_vertices, g->num_vertices());
+    max_edges = std::max(max_edges, g->num_edges());
   }
   return StampedHistory(max_vertices, max_edges);
 }
 
 class GSpanMiner {
  public:
-  GSpanMiner(const GraphDatabase& db, const MinerConfig& config)
-      : db_(db), config_(config), history_(HistoryFor(db)) {}
+  // With `maximal_only`, a pattern that has a frequent child is counted
+  // but not built: it embeds in that child, so it cannot be maximal.
+  GSpanMiner(GraphSpan db, const MinerConfig& config, bool maximal_only)
+      : db_(db),
+        config_(config),
+        maximal_only_(maximal_only),
+        history_(HistoryFor(db)) {}
+
+  // Frequent patterns found so far, built or not.
+  size_t num_found() const { return num_found_; }
 
   MineResult Run() {
     util::WallTimer timer;
@@ -385,7 +396,7 @@ class GSpanMiner {
     // of the empty code, in gid order.
     Frame& roots = FrameAt(0);
     for (size_t gid = 0; gid < db_.size(); ++gid) {
-      const Graph& g = db_.graph(gid);
+      const Graph& g = *db_[gid];
       for (VertexId v = 0; v < g.num_vertices(); ++v) {
         for (const AdjEntry& adj : g.neighbors(v)) {
           const Label from_label = g.vertex_label(v);
@@ -419,7 +430,7 @@ class GSpanMiner {
   void ReportSingleVertices() {
     std::map<Label, std::vector<int32_t>> by_label;
     for (size_t gid = 0; gid < db_.size(); ++gid) {
-      const graph::Graph& g = db_.graph(gid);
+      const Graph& g = *db_[gid];
       std::map<Label, bool> seen;
       for (Label l : g.vertex_labels()) {
         if (!seen[l]) {
@@ -434,7 +445,8 @@ class GSpanMiner {
       p.graph.AddVertex(label);
       p.support = static_cast<int64_t>(gids.size());
       p.supporting = gids;
-      Emit(std::move(p));
+      result_.patterns.push_back(std::move(p));
+      Found();
       if (stopped_) return;
     }
   }
@@ -446,9 +458,24 @@ class GSpanMiner {
     return frames_[depth];
   }
 
-  void Emit(Pattern p) {
+  // Counts one more frequent pattern toward max_patterns.
+  void Found() {
+    if (++num_found_ >= config_.max_patterns) stopped_ = true;
+  }
+
+  // Builds `code`'s pattern from its embeddings `projected`.
+  void Emit(const DfsCode& code, std::span<const Emb> projected,
+            int64_t support) {
+    Pattern p;
+    p.graph = code.ToGraph();
+    p.support = support;
+    for (const Emb& e : projected) {
+      if (p.supporting.empty() || p.supporting.back() != e.gid) {
+        p.supporting.push_back(e.gid);
+      }
+    }
+    GS_CHECK_EQ(static_cast<int64_t>(p.supporting.size()), support);
     result_.patterns.push_back(std::move(p));
-    if (result_.patterns.size() >= config_.max_patterns) stopped_ = true;
   }
 
   // Explores `code`, a frequent extension with `support` distinct gids
@@ -466,27 +493,22 @@ class GSpanMiner {
       return;
     }
 
-    if (static_cast<int32_t>(code.size()) >= config_.min_edges) {
-      Pattern p;
-      p.graph = code.ToGraph();
-      p.support = support;
-      for (const Emb& e : projected) {
-        if (p.supporting.empty() || p.supporting.back() != e.gid) {
-          p.supporting.push_back(e.gid);
-        }
-      }
-      GS_CHECK_EQ(static_cast<int64_t>(p.supporting.size()), support);
-      Emit(std::move(p));
-      if (stopped_) return;
+    // The pattern counts toward the cap before its children are looked
+    // at, so a capped run stops at the same pattern in either mode.
+    const bool reported =
+        static_cast<int32_t>(code.size()) >= config_.min_edges;
+    if (reported) Found();
+    if (stopped_ || static_cast<int32_t>(code.size()) >= config_.max_edges) {
+      if (reported) Emit(code, projected, support);
+      return;
     }
-    if (static_cast<int32_t>(code.size()) >= config_.max_edges) return;
 
     const std::vector<int> rmpath = code.BuildRmPath();
     const int32_t num_vertices = code.NumVertices();
     Frame& frame = FrameAt(code.size());
     frame.Clear();
     for (const Emb& emb : projected) {
-      const Graph& g = db_.graph(emb.gid);
+      const Graph& g = *db_[emb.gid];
       history_.Load(code, num_vertices, &emb);
       ForEachExtension(g, code, rmpath, history_,
                        [&](const DfsEdge& edge, VertexId from,
@@ -496,6 +518,11 @@ class GSpanMiner {
     }
     result_.embeddings_built += frame.num_reports();
     frame.Group(config_.min_support, DfsEdgeLess);
+    // A pattern with a frequent child is not maximal: a maximal-only run
+    // builds neither its graph nor its supporting list.
+    if (reported && !(maximal_only_ && !frame.children().empty())) {
+      Emit(code, projected, support);
+    }
 
     // The children's own frames sit deeper, so this frame's spans stay
     // valid while each child's subtree runs.
@@ -507,14 +534,40 @@ class GSpanMiner {
     }
   }
 
-  const GraphDatabase& db_;
+  const GraphSpan db_;
   const MinerConfig config_;
+  const bool maximal_only_;
   MineResult result_;
   StampedHistory history_;
   std::deque<Frame> frames_;  // frames_[d]: children of a d-edge code
   util::WallTimer budget_timer_;
+  size_t num_found_ = 0;
   bool stopped_ = false;
 };
+
+// One gSpan run under the "mine/fsm/gspan" span. Candidate and pattern
+// totals come straight out of the single-threaded search, so they are
+// deterministic work counters (DESIGN.md §12); a pattern the maximal
+// mode skips still counts.
+MineResult RunGSpan(GraphSpan db, const MinerConfig& config,
+                    bool maximal_only) {
+  GS_CHECK_GE(config.min_support, 1);
+  GS_TRACE_SPAN_NAMED(span, "mine/fsm/gspan");
+  GSpanMiner miner(db, config, maximal_only);
+  MineResult result = miner.Run();
+  auto& registry = obs::MetricsRegistry::Global();
+  static obs::Counter* const candidates =
+      registry.GetCounter("gspan/candidates");
+  static obs::Counter* const patterns =
+      registry.GetCounter("gspan/patterns");
+  static obs::Counter* const embeddings =
+      registry.GetCounter("gspan/embeddings");
+  candidates->Add(result.states_expanded);
+  patterns->Add(miner.num_found());
+  embeddings->Add(result.embeddings_built);
+  span.AddWork(result.states_expanded);
+  return result;
+}
 
 }  // namespace
 
@@ -536,25 +589,16 @@ bool IsMinimalDfsCode(const DfsCode& code) {
   return GrowMinDfsCode(code.ToGraph(), &code, &min_code);
 }
 
-MineResult MineFrequentGSpan(const GraphDatabase& db,
+MineResult MineFrequentGSpan(const graph::GraphDatabase& db,
                              const MinerConfig& config) {
-  GS_CHECK_GE(config.min_support, 1);
-  GS_TRACE_SPAN_NAMED(span, "mine/fsm/gspan");
-  GSpanMiner miner(db, config);
-  MineResult result = miner.Run();
-  // Candidate totals come straight out of the single-threaded search,
-  // so they are deterministic work counters (DESIGN.md §12).
-  auto& registry = obs::MetricsRegistry::Global();
-  static obs::Counter* const candidates =
-      registry.GetCounter("gspan/candidates");
-  static obs::Counter* const patterns =
-      registry.GetCounter("gspan/patterns");
-  static obs::Counter* const embeddings =
-      registry.GetCounter("gspan/embeddings");
-  candidates->Add(result.states_expanded);
-  patterns->Add(result.patterns.size());
-  embeddings->Add(result.embeddings_built);
-  span.AddWork(result.states_expanded);
+  const std::vector<const Graph*> graphs = db.GraphPointers();
+  return RunGSpan(graphs, config, /*maximal_only=*/false);
+}
+
+MineResult MineMaximalGSpan(std::span<const Graph* const> db,
+                            const MinerConfig& config) {
+  MineResult result = RunGSpan(db, config, /*maximal_only=*/true);
+  result.patterns = FilterMaximal(std::move(result.patterns));
   return result;
 }
 

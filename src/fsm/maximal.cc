@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "graph/containment_signature.h"
 #include "graph/isomorphism.h"
 
 namespace graphsig::fsm {
@@ -17,29 +18,30 @@ std::vector<Pattern> FilterMaximal(std::vector<Pattern> patterns) {
               return a.graph.num_vertices() > b.graph.num_vertices();
             });
   std::vector<Pattern> maximal;
-  for (const Pattern& p : patterns) {
+  std::vector<graph::ContainmentSignature> signatures;  // of maximal[i]
+  for (Pattern& p : patterns) {
+    graph::ContainmentSignature signature = graph::SignatureOf(p.graph);
     bool contained = false;
-    for (const Pattern& q : maximal) {
+    for (size_t i = 0; i < maximal.size(); ++i) {
+      const Pattern& q = maximal[i];
       const bool strictly_larger =
           q.graph.num_edges() > p.graph.num_edges() ||
           (q.graph.num_edges() == p.graph.num_edges() &&
            q.graph.num_vertices() > p.graph.num_vertices());
-      if (!strictly_larger) continue;
-      if (graph::IsSubgraphIsomorphic(p.graph, q.graph)) {
+      // `maximal` keeps the sort order: the rest are no larger than q.
+      if (!strictly_larger) break;
+      if (graph::SignatureAdmits(signature, signatures[i]) &&
+          graph::IsSubgraphIsomorphic(p.graph, q.graph)) {
         contained = true;
         break;
       }
     }
-    if (!contained) maximal.push_back(p);
+    if (!contained) {
+      maximal.push_back(std::move(p));
+      signatures.push_back(std::move(signature));
+    }
   }
   return maximal;
-}
-
-MineResult MineMaximalGSpan(const graph::GraphDatabase& db,
-                            const MinerConfig& config) {
-  MineResult result = MineFrequentGSpan(db, config);
-  result.patterns = FilterMaximal(std::move(result.patterns));
-  return result;
 }
 
 }  // namespace graphsig::fsm

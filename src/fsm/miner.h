@@ -23,6 +23,8 @@ struct MinerConfig {
   int64_t min_support = 1;  // absolute graph count
   int32_t min_edges = 1;    // only report patterns with >= this many edges
   int32_t max_edges = std::numeric_limits<int32_t>::max();
+  // Counts every frequent pattern found, including those MineMaximalGSpan
+  // proves non-maximal and never builds.
   size_t max_patterns = std::numeric_limits<size_t>::max();
   double budget_seconds = std::numeric_limits<double>::infinity();
   // Also report frequent single-vertex patterns (min_edges permitting).

@@ -20,6 +20,13 @@ std::map<Label, int64_t> GraphDatabase::EdgeLabelCounts() const {
   return counts;
 }
 
+std::vector<const Graph*> GraphDatabase::GraphPointers() const {
+  std::vector<const Graph*> out;
+  out.reserve(graphs_.size());
+  for (const Graph& g : graphs_) out.push_back(&g);
+  return out;
+}
+
 int64_t GraphDatabase::TotalVertices() const {
   int64_t total = 0;
   for (const Graph& g : graphs_) total += g.num_vertices();

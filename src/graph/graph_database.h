@@ -26,6 +26,9 @@ class GraphDatabase {
   Graph& mutable_graph(size_t i) { return graphs_[i]; }
 
   const std::vector<Graph>& graphs() const { return graphs_; }
+  // Pointers to every graph, in order: the borrowed view the miners walk
+  // (fsm::MineMaximalGSpan). Valid while the database is unchanged.
+  std::vector<const Graph*> GraphPointers() const;
 
   // Total vertex occurrences per vertex label across the database.
   std::map<Label, int64_t> VertexLabelCounts() const;

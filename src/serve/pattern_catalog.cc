@@ -35,65 +35,6 @@ LatencySummary SummarizeLatencies(std::vector<double> latencies_ms,
   return summary;
 }
 
-PatternCatalog::QueryProfile PatternCatalog::BuildProfile(
-    const graph::Graph& g) {
-  QueryProfile profile;
-  profile.num_vertices = g.num_vertices();
-  profile.num_edges = g.num_edges();
-  for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
-    profile.degrees_by_label[g.vertex_label(v)].push_back(g.degree(v));
-  }
-  for (auto& [label, degrees] : profile.degrees_by_label) {
-    std::sort(degrees.begin(), degrees.end(), std::greater<int32_t>());
-  }
-  for (const graph::EdgeRecord& e : g.edges()) {
-    graph::Label a = g.vertex_label(e.u);
-    graph::Label b = g.vertex_label(e.v);
-    if (a > b) std::swap(a, b);
-    ++profile.edge_type_counts[{a, b, e.label}];
-  }
-  return profile;
-}
-
-PatternCatalog::PatternSignature PatternCatalog::BuildSignature(
-    const graph::Graph& g) {
-  const QueryProfile profile = BuildProfile(g);
-  PatternSignature sig;
-  sig.num_vertices = profile.num_vertices;
-  sig.num_edges = profile.num_edges;
-  sig.edge_type_counts.assign(profile.edge_type_counts.begin(),
-                              profile.edge_type_counts.end());
-  sig.degrees_by_label.assign(profile.degrees_by_label.begin(),
-                              profile.degrees_by_label.end());
-  return sig;
-}
-
-bool PatternCatalog::SignatureDominated(const PatternSignature& pattern,
-                                        const QueryProfile& query) {
-  if (pattern.num_vertices > query.num_vertices) return false;
-  if (pattern.num_edges > query.num_edges) return false;
-  for (const auto& [type, count] : pattern.edge_type_counts) {
-    auto it = query.edge_type_counts.find(type);
-    if (it == query.edge_type_counts.end() || it->second < count) {
-      return false;
-    }
-  }
-  for (const auto& [label, degrees] : pattern.degrees_by_label) {
-    auto it = query.degrees_by_label.find(label);
-    if (it == query.degrees_by_label.end() ||
-        it->second.size() < degrees.size()) {
-      return false;
-    }
-    // Both sides sorted descending: a greedy matching exists iff the
-    // k-th largest pattern degree fits under the k-th largest query
-    // degree for that label.
-    for (size_t k = 0; k < degrees.size(); ++k) {
-      if (degrees[k] > it->second[k]) return false;
-    }
-  }
-  return true;
-}
-
 util::Result<PatternCatalog> PatternCatalog::FromArtifact(
     model::ModelArtifact artifact) {
   PatternCatalog catalog;
@@ -120,7 +61,7 @@ util::Result<PatternCatalog> PatternCatalog::FromArtifact(
       return util::Status::FailedPrecondition(
           "catalog contains an empty pattern graph");
     }
-    catalog.signatures_.push_back(BuildSignature(pattern));
+    catalog.signatures_.push_back(graph::SignatureOf(pattern));
     graph::Label anchor = pattern.vertex_label(0);
     for (graph::VertexId v = 1; v < pattern.num_vertices(); ++v) {
       const graph::Label label = pattern.vertex_label(v);
@@ -145,11 +86,11 @@ PatternCatalog::AnchorMatches PatternCatalog::MatchAnchors(
     const graph::Graph& query, const QueryProfile& profile,
     const std::map<graph::Label, std::vector<int32_t>>& anchors) const {
   AnchorMatches out;
-  for (const auto& [label, _] : profile.degrees_by_label) {
-    auto it = anchors.find(label);
+  for (const graph::ContainmentSignature::LabelRun& run : profile.labels) {
+    auto it = anchors.find(run.label);
     if (it == anchors.end()) continue;
     for (int32_t pattern_id : it->second) {
-      if (!SignatureDominated(signatures_[pattern_id], profile)) continue;
+      if (!graph::SignatureAdmits(signatures_[pattern_id], profile)) continue;
       ++out.iso_calls;
       if (graph::IsSubgraphIsomorphic(artifact_.catalog[pattern_id].subgraph,
                                       query)) {
@@ -165,7 +106,7 @@ QueryResult PatternCatalog::Query(const graph::Graph& query,
   util::WallTimer timer;
   QueryResult result;
   if (config.compute_matches && !signatures_.empty()) {
-    const QueryProfile profile = BuildProfile(query);
+    const graph::ContainmentSignature profile = graph::SignatureOf(query);
     AnchorMatches matches = MatchAnchors(query, profile, patterns_by_anchor_);
     result.matched_patterns = std::move(matches.matched_patterns);
     result.iso_calls = matches.iso_calls;

@@ -11,21 +11,21 @@
 //   1. an inverted index keyed on each pattern's rarest vertex label
 //      (rarest over the indexed database), so a query only considers
 //      patterns whose anchor label it actually contains;
-//   2. per-pattern signatures — vertex/edge counts, the edge-type
-//      multiset (endpoint labels + bond label), and per-vertex-label
-//      sorted degree sequences — that must all be dominated by the
-//      query's.
+//   2. per-pattern graph::ContainmentSignatures — vertex/edge counts,
+//      edge-type counts and per-vertex-label sorted degree sequences —
+//      that graph::SignatureAdmits tests against the query's, the same
+//      test the mine runs before VF2.
 // Both layers are necessary conditions for containment, so the matched
 // set is identical to brute-force scanning (asserted in serve tests).
 
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <tuple>
 #include <vector>
 
 #include "approx/estimators.h"
 #include "classify/sig_knn.h"
+#include "graph/containment_signature.h"
 #include "graph/graph.h"
 #include "model/artifact.h"
 #include "util/status.h"
@@ -123,16 +123,10 @@ struct ServingStats {
 
 class PatternCatalog {
  public:
-  // The query-side half of the containment signature: what one graph
-  // offers, precomputed once so it can be tested against many pattern
-  // signatures.
-  struct QueryProfile {
-    int32_t num_vertices = 0;
-    int32_t num_edges = 0;
-    std::map<std::tuple<graph::Label, graph::Label, graph::Label>, int32_t>
-        edge_type_counts;
-    std::map<graph::Label, std::vector<int32_t>> degrees_by_label;
-  };
+  // A query's containment signature, built once per query and tested
+  // against every candidate pattern's. QueryProfile and BuildProfile
+  // name it for callers that compose Query() from its parts.
+  using QueryProfile = graph::ContainmentSignature;
 
   // The match work over a set of anchors: pattern ids that passed the
   // exact isomorphism test (in anchor iteration order, NOT sorted) plus
@@ -150,7 +144,10 @@ class PatternCatalog {
   // LoadArtifact + FromArtifact.
   static util::Result<PatternCatalog> LoadFromFile(const std::string& path);
 
-  static QueryProfile BuildProfile(const graph::Graph& g);
+  // graph::SignatureOf(g).
+  static QueryProfile BuildProfile(const graph::Graph& g) {
+    return graph::SignatureOf(g);
+  }
 
   // Runs the index/signature/isomorphism cascade for the patterns in
   // `anchors` only (patterns_by_anchor() or any subset of it). Pure —
@@ -211,31 +208,6 @@ class PatternCatalog {
  private:
   PatternCatalog() = default;
 
-  // An edge type: endpoint labels normalized a <= b, plus the edge
-  // label.
-  using EdgeTypeKey = std::tuple<graph::Label, graph::Label, graph::Label>;
-
-  // Monotone containment signature of one catalog pattern: every field
-  // of a contained pattern is dominated by the corresponding field of
-  // the containing graph. A monomorphism maps each pattern vertex to a
-  // same-labeled query vertex of >= degree and each pattern edge to a
-  // distinct query edge of the same type, so label-wise descending
-  // degree sequences and edge-type counts must all be dominated.
-  struct PatternSignature {
-    int32_t num_vertices = 0;
-    int32_t num_edges = 0;
-    // (edge type, count), ascending by type.
-    std::vector<std::pair<EdgeTypeKey, int32_t>> edge_type_counts;
-    // Per vertex label, the degrees of that label's vertices sorted
-    // descending; ascending by label.
-    std::vector<std::pair<graph::Label, std::vector<int32_t>>>
-        degrees_by_label;
-  };
-
-  static PatternSignature BuildSignature(const graph::Graph& g);
-  static bool SignatureDominated(const PatternSignature& pattern,
-                                 const QueryProfile& query);
-
   // Folds one finished query into the cumulative ServingStats (the
   // mutex-guarded aggregate Snapshot() reads).
   void AggregateServingStats(const QueryResult& result) const;
@@ -249,7 +221,7 @@ class PatternCatalog {
 
   model::ModelArtifact artifact_;
   classify::GraphSigClassifier classifier_;
-  std::vector<PatternSignature> signatures_;
+  std::vector<graph::ContainmentSignature> signatures_;
   // Inverted index: anchor label (the pattern's rarest vertex label in
   // the indexed database) -> catalog indices, ascending.
   std::map<graph::Label, std::vector<int32_t>> patterns_by_anchor_;

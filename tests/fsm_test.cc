@@ -9,6 +9,7 @@
 #include "fsm/maximal.h"
 #include "fsm/miner.h"
 #include "graph/isomorphism.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
 
 namespace graphsig::fsm {
@@ -201,7 +202,7 @@ TEST(MaximalTest, FiltersContainedPatterns) {
   db.Add(Path({0, 1, 2}, {0, 0}));
   MinerConfig config;
   config.min_support = 2;
-  MineResult result = MineMaximalGSpan(db, config);
+  MineResult result = MineMaximalGSpan(db.GraphPointers(), config);
   // Only the full path 0-1-2 is maximal.
   ASSERT_EQ(result.patterns.size(), 1u);
   EXPECT_EQ(result.patterns[0].graph.num_edges(), 2);
@@ -220,6 +221,84 @@ TEST(MaximalTest, IncomparablePatternsBothKept) {
   patterns.push_back(b);
   auto maximal = FilterMaximal(patterns);
   EXPECT_EQ(maximal.size(), 2u);
+}
+
+// Canonical code -> (support, supporting list) of each pattern.
+std::map<std::string, std::pair<int64_t, std::vector<int32_t>>> ByCode(
+    const std::vector<Pattern>& patterns) {
+  std::map<std::string, std::pair<int64_t, std::vector<int32_t>>> out;
+  for (const Pattern& p : patterns) {
+    out.emplace(CanonicalCode(p.graph),
+                std::make_pair(p.support, p.supporting));
+  }
+  return out;
+}
+
+uint64_t PatternsCounted() {
+  return obs::MetricsRegistry::Global().GetCounter("gspan/patterns")->value();
+}
+
+// Deciding maximality inside the search (no pattern with a frequent
+// child is built) gives the post-filter's answer, searches the same
+// states and still counts every frequent pattern toward gspan/patterns.
+TEST(MaximalTest, SearchMatchesPostFilter) {
+  size_t non_maximal = 0;
+  for (int seed = 0; seed < 10; ++seed) {
+    for (int64_t min_support : {2, 3, 5}) {
+      for (int32_t max_edges : {2, 4}) {
+        GraphDatabase db = RandomDatabase(5000 + seed, 8, 6, 2, 2, 2);
+        MinerConfig config;
+        config.min_support = min_support;
+        config.max_edges = max_edges;
+        const uint64_t before = PatternsCounted();
+        const MineResult frequent = MineFrequentGSpan(db, config);
+        const uint64_t frequent_counted = PatternsCounted() - before;
+        const MineResult maximal =
+            MineMaximalGSpan(db.GraphPointers(), config);
+        const uint64_t maximal_counted =
+            PatternsCounted() - before - frequent_counted;
+        SCOPED_TRACE(testing::Message() << "seed " << seed << ", support "
+                                        << min_support << ", max_edges "
+                                        << max_edges);
+        EXPECT_TRUE(maximal.completed);
+        EXPECT_EQ(ByCode(maximal.patterns),
+                  ByCode(FilterMaximal(frequent.patterns)));
+        EXPECT_EQ(maximal.states_expanded, frequent.states_expanded);
+        EXPECT_EQ(maximal.embeddings_built, frequent.embeddings_built);
+        EXPECT_EQ(frequent_counted, frequent.patterns.size());
+        EXPECT_EQ(maximal_counted, frequent_counted);
+        non_maximal += frequent.patterns.size() - maximal.patterns.size();
+      }
+    }
+  }
+  EXPECT_GT(non_maximal, 0u);
+}
+
+// A capped maximal run stops at the same search state as a capped
+// frequent run, reports itself incomplete, and keeps only patterns the
+// capped frequent run found.
+TEST(MaximalTest, CappedRunStopsWhereFrequentRunStops) {
+  GraphDatabase db = RandomDatabase(5003, 8, 6, 2, 2, 2);
+  MinerConfig config;
+  config.min_support = 2;
+  config.max_edges = 4;
+  const size_t total = MineFrequentGSpan(db, config).patterns.size();
+  ASSERT_GT(total, 10u);
+  for (size_t cap : {size_t{1}, size_t{2}, size_t{7}, total / 2, total - 1}) {
+    config.max_patterns = cap;
+    const MineResult frequent = MineFrequentGSpan(db, config);
+    const MineResult maximal = MineMaximalGSpan(db.GraphPointers(), config);
+    EXPECT_FALSE(maximal.completed) << "cap " << cap;
+    EXPECT_EQ(maximal.states_expanded, frequent.states_expanded)
+        << "cap " << cap;
+    const auto visited = ByCode(frequent.patterns);
+    ASSERT_FALSE(maximal.patterns.empty());
+    for (const auto& [code, support] : ByCode(maximal.patterns)) {
+      auto it = visited.find(code);
+      ASSERT_NE(it, visited.end()) << "cap " << cap << ": " << code;
+      EXPECT_EQ(it->second, support);
+    }
+  }
 }
 
 // Cross-validation property: gSpan == apriori == brute force on random

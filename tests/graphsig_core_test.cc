@@ -1,15 +1,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <set>
+#include <string>
 
 #include "core/graphsig.h"
+#include "core/mine_pipeline.h"
 #include "data/datasets.h"
 #include "data/elements.h"
 #include "data/generator.h"
 #include "data/motifs.h"
 #include "fsm/dfs_code.h"
 #include "graph/isomorphism.h"
+#include "obs/metrics.h"
 
 namespace graphsig::core {
 namespace {
@@ -108,7 +112,6 @@ TEST(GraphSigTest, DbFrequencyIsExact) {
   GraphSigResult result = miner.Mine(db);
   int checked = 0;
   for (const SignificantSubgraph& sg : result.subgraphs) {
-    if (checked >= 5) break;
     int64_t expected = 0;
     for (const graph::Graph& g : db.graphs()) {
       expected += graph::IsSubgraphIsomorphic(sg.subgraph, g);
@@ -117,6 +120,24 @@ TEST(GraphSigTest, DbFrequencyIsExact) {
     ++checked;
   }
   EXPECT_GT(checked, 0);
+}
+
+// A region set whose gSpan run hit the pattern cap reaches the stats and
+// the deterministic mine/region_sets_capped counter.
+TEST(GraphSigTest, MergeCountsCappedSets) {
+  obs::Counter* const capped =
+      obs::MetricsRegistry::Global().GetCounter("mine/region_sets_capped");
+  const uint64_t before = capped->value();
+  std::map<std::string, SignificantSubgraph> dedup;
+  GraphSigStats stats;
+  pipeline::RegionTaskOutput complete;
+  pipeline::RegionTaskOutput stopped;
+  stopped.capped = true;
+  pipeline::MergeRegionOutput(std::move(complete), &dedup, &stats);
+  pipeline::MergeRegionOutput(std::move(stopped), &dedup, &stats);
+  EXPECT_EQ(stats.num_sets_mined, 2);
+  EXPECT_EQ(stats.num_sets_capped, 1);
+  EXPECT_EQ(capped->value() - before, 1u);
 }
 
 TEST(GraphSigTest, FrequencyComputationIsOptional) {

@@ -100,6 +100,7 @@ TEST(ParallelFeaturizationTest, MineBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(serial.stats.num_sets_mined, threaded.stats.num_sets_mined);
     EXPECT_EQ(serial.stats.num_sets_filtered,
               threaded.stats.num_sets_filtered);
+    EXPECT_EQ(serial.stats.num_sets_capped, threaded.stats.num_sets_capped);
     EXPECT_EQ(serial.stats.num_region_requests,
               threaded.stats.num_region_requests);
     EXPECT_EQ(serial.stats.num_unique_regions,

@@ -58,12 +58,13 @@ int main(int argc, char** argv) {
       result.profile.total_seconds, result.profile.rwr_seconds,
       result.profile.feature_seconds, result.profile.fsm_seconds);
   std::printf("%lld vectors | %lld significant vectors | %zu significant "
-              "subgraphs (%lld region sets, %lld filtered)\n\n",
+              "subgraphs (%lld region sets, %lld filtered, %lld capped)\n\n",
               static_cast<long long>(result.stats.num_vectors),
               static_cast<long long>(result.stats.num_significant_vectors),
               result.subgraphs.size(),
               static_cast<long long>(result.stats.num_sets_mined),
-              static_cast<long long>(result.stats.num_sets_filtered));
+              static_cast<long long>(result.stats.num_sets_filtered),
+              static_cast<long long>(result.stats.num_sets_capped));
 
   const auto shown = static_cast<size_t>(*top);
   for (size_t i = 0; i < result.subgraphs.size() && i < shown; ++i) {
