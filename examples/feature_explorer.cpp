@@ -1,7 +1,7 @@
 // Feature-space explorer (the paper's Section II): inspect how a graph
 // database turns into GraphSig's feature space — the Fig. 4 atom-
 // coverage analysis, the selected feature set, and the RWR vector of a
-// single molecule's nodes, side by side with the plain window-count
+// single molecule's nodes, side by side with the plain feature-count
 // ablation.
 //
 //   $ ./feature_explorer [--size=N]
@@ -65,7 +65,6 @@ int main(int argc, char** argv) {
   features::RwrConfig rwr;
   features::RwrConfig counting = rwr;
   counting.featurizer = features::Featurizer::kWindowCount;
-  counting.radius = 2;
 
   util::TablePrinter vec_table({"node", "atom", "RWR vector (non-zero)",
                                 "count vector (non-zero)"});
@@ -89,8 +88,8 @@ int main(int argc, char** argv) {
   vec_table.Print(std::cout);
   std::printf(
       "\nNote how the RWR vector weights nearby features more than distant\n"
-      "ones, while the count vector is the same for every node of the\n"
-      "molecule when the window covers it all — the structure loss the\n"
-      "paper's Table II discussion points out.\n");
+      "ones, while the count vector counts the whole molecule and so is\n"
+      "the same for every node — the structure loss the paper's Table II\n"
+      "discussion points out.\n");
   return 0;
 }

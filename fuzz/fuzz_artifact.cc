@@ -37,9 +37,9 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       const auto classifier =
           graphsig::classify::GraphSigClassifier::FromModel(model.classifier);
       // Bounded so one input stays cheap: the walk runs at most
-      // max_iterations sweeps from each of at most 64 sources.
+      // features::kRwrMaxIterations sweeps from each of at most 64
+      // sources.
       if (!model.database.empty() &&
-          model.classifier.rwr.max_iterations <= 1000 &&
           model.database.graph(0).num_vertices() <= 64) {
         (void)classifier.Score(model.database.graph(0));
       }

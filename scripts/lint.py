@@ -72,6 +72,13 @@ Rules (each can be waived on one line with a `lint:allow=<rule>` comment):
                 across standard-library implementations, so seeds would
                 stop replaying the moment the toolchain changes.
 
+  raw-ofstream  std::ofstream in src/ or tools/. An ofstream write that
+                a crash, a signal or a full disk interrupts leaves a
+                truncated file under the real name. Outputs go through
+                util/durable_file.h (WriteAndSync, WriteFileAtomically)
+                or tools::WriteFile, which write a temp file, fsync it
+                and rename it into place.
+
 Waiver hygiene: a `lint:allow=<rule>` comment is itself checked. A
 waiver naming an unknown rule, or sitting on a line the named rule no
 longer matches (the offending code was edited away, or the file is out
@@ -192,6 +199,14 @@ RULES = [
         "draw randomness from util::Rng (src/util/rng.h) with an explicit "
         "seed; std:: engines/distributions are unseeded-by-convention and "
         "not reproducible across standard libraries",
+    ),
+    (
+        "raw-ofstream",
+        re.compile(r"std::(basic_|w)?ofstream\b"),
+        lambda rel: rel.parts[0] in ("src", "tools"),
+        "write outputs through util/durable_file.h or tools::WriteFile "
+        "(temp file, fsync, rename), so an interrupted write never "
+        "leaves a truncated file",
     ),
     (
         "raw-chrono",

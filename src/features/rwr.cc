@@ -35,9 +35,6 @@ struct RwrMetrics {
 };
 
 // Accumulates per-feature mass from a stationary node distribution.
-// `in_window[v]` marks nodes reachable by the (possibly radius-confined)
-// walk; edges with an endpoint outside the window carry no mass because
-// the stationary probability there is zero.
 std::vector<double> AccumulateFeatureMass(const graph::Graph& g,
                                           const std::vector<double>& p,
                                           const FeatureSpace& features) {
@@ -73,22 +70,23 @@ std::vector<double> AccumulateFeatureMass(const graph::Graph& g,
 
 }  // namespace
 
-namespace {
-
-// Fast path for the unconfined walk (radius <= 0): no window bookkeeping,
-// effective out-degree is the plain degree. This is the hot loop of both
+// The power iteration over the whole graph. This is the hot loop of both
 // GraphSig featurization and query-time classification. It accumulates
 // floats in neighbor order (Graph::neighbors), so that order is part of
 // every output byte.
-std::vector<double> RwrWholeGraph(const graph::Graph& g,
-                                  graph::VertexId source,
-                                  const RwrConfig& config) {
+std::vector<double> RwrStationaryDistribution(const graph::Graph& g,
+                                              graph::VertexId source,
+                                              const RwrConfig& config) {
+  GS_CHECK_GE(source, 0);
+  GS_CHECK_LT(source, g.num_vertices());
+  GS_CHECK_GT(config.restart_prob, 0.0);
+  GS_CHECK_LE(config.restart_prob, 1.0);
   const double alpha = config.restart_prob;
   std::vector<double> p(g.num_vertices(), 0.0);
   p[source] = 1.0;
   std::vector<double> next(g.num_vertices(), 0.0);
   uint64_t iters = 0, flops = 0;
-  for (int iter = 0; iter < config.max_iterations; ++iter) {
+  for (int iter = 0; iter < kRwrMaxIterations; ++iter) {
     ++iters;
     std::fill(next.begin(), next.end(), 0.0);
     double dangling = 0.0;
@@ -113,77 +111,10 @@ std::vector<double> RwrWholeGraph(const graph::Graph& g,
     }
     flops += 2 * static_cast<uint64_t>(g.num_vertices());
     p.swap(next);
-    if (delta < config.epsilon) break;
+    if (delta < kRwrEpsilon) break;
   }
   RwrMetrics::Get().Flush(iters, flops);
   return p;
-}
-
-// Radius-confined walk (radius > 0); same neighbor-order determinism
-// argument as RwrWholeGraph above.
-std::vector<double> RwrConfined(const graph::Graph& g, graph::VertexId source,
-                                const RwrConfig& config) {
-  std::vector<bool> in_window(g.num_vertices(), false);
-  for (graph::VertexId v : g.VerticesWithinRadius(source, config.radius)) {
-    in_window[v] = true;
-  }
-
-  // Effective out-degree counts only in-window neighbors; a walker at a
-  // node with no usable neighbor restarts deterministically.
-  std::vector<int> out_degree(g.num_vertices(), 0);
-  for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
-    if (!in_window[v]) continue;
-    for (const graph::AdjEntry& adj : g.neighbors(v)) {
-      if (in_window[adj.to]) ++out_degree[v];
-    }
-  }
-
-  const double alpha = config.restart_prob;
-  std::vector<double> p(g.num_vertices(), 0.0);
-  p[source] = 1.0;
-  std::vector<double> next(g.num_vertices(), 0.0);
-  uint64_t iters = 0, flops = 0;
-  for (int iter = 0; iter < config.max_iterations; ++iter) {
-    ++iters;
-    std::fill(next.begin(), next.end(), 0.0);
-    double dangling = 0.0;  // mass at nodes with no onward move
-    for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
-      if (p[v] == 0.0 || !in_window[v]) continue;
-      if (out_degree[v] == 0) {
-        dangling += p[v];
-        ++flops;
-        continue;
-      }
-      const double share = (1.0 - alpha) * p[v] / out_degree[v];
-      flops += 2 + static_cast<uint64_t>(out_degree[v]);
-      for (const graph::AdjEntry& adj : g.neighbors(v)) {
-        if (in_window[adj.to]) next[adj.to] += share;
-      }
-    }
-    next[source] += alpha * (1.0 - dangling) + dangling;
-    double delta = 0.0;
-    for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
-      delta += std::abs(next[v] - p[v]);
-    }
-    flops += 2 * static_cast<uint64_t>(g.num_vertices());
-    p.swap(next);
-    if (delta < config.epsilon) break;
-  }
-  RwrMetrics::Get().Flush(iters, flops);
-  return p;
-}
-
-}  // namespace
-
-std::vector<double> RwrStationaryDistribution(const graph::Graph& g,
-                                              graph::VertexId source,
-                                              const RwrConfig& config) {
-  GS_CHECK_GE(source, 0);
-  GS_CHECK_LT(source, g.num_vertices());
-  GS_CHECK_GT(config.restart_prob, 0.0);
-  GS_CHECK_LE(config.restart_prob, 1.0);
-  if (config.radius <= 0) return RwrWholeGraph(g, source, config);
-  return RwrConfined(g, source, config);
 }
 
 std::vector<double> RwrFeatureDistribution(const graph::Graph& g,
@@ -195,20 +126,9 @@ std::vector<double> RwrFeatureDistribution(const graph::Graph& g,
 }
 
 std::vector<double> CountFeatureDistribution(const graph::Graph& g,
-                                             graph::VertexId source,
-                                             const FeatureSpace& features,
-                                             int radius) {
-  std::vector<bool> in_window(g.num_vertices(), false);
-  if (radius > 0) {
-    for (graph::VertexId v : g.VerticesWithinRadius(source, radius)) {
-      in_window[v] = true;
-    }
-  } else {
-    in_window.assign(g.num_vertices(), true);
-  }
+                                             const FeatureSpace& features) {
   std::vector<double> mass(features.size(), 0.0);
   for (const graph::EdgeRecord& e : g.edges()) {
-    if (!in_window[e.u] || !in_window[e.v]) continue;
     const graph::Label lu = g.vertex_label(e.u);
     const graph::Label lv = g.vertex_label(e.v);
     const int edge_slot = features.EdgeFeature(lu, lv, e.label);
@@ -256,7 +176,7 @@ std::vector<NodeVector> GraphToVectors(const graph::Graph& g,
     const std::vector<double> distribution =
         config.featurizer == Featurizer::kRwr
             ? RwrFeatureDistribution(g, v, features, config)
-            : CountFeatureDistribution(g, v, features, config.radius);
+            : CountFeatureDistribution(g, features);
     nv.values = Discretize(distribution, config.bins);
     out.push_back(std::move(nv));
   }

@@ -24,16 +24,16 @@ namespace graphsig::features {
 // counts, no proximity information).
 enum class Featurizer { kRwr, kWindowCount };
 
+// Power iteration stops at the first sweep that moves less than
+// kRwrEpsilon of L1 mass, or after kRwrMaxIterations sweeps. The walk
+// always covers the whole graph: the restart does the localizing, as in
+// the paper.
+inline constexpr double kRwrEpsilon = 1e-9;
+inline constexpr int kRwrMaxIterations = 1000;
+
 struct RwrConfig {
   double restart_prob = 0.25;  // alpha; ~1/alpha jumps per excursion
-  double epsilon = 1e-9;       // L1 convergence threshold
-  int max_iterations = 1000;   // safety cap for power iteration
   int bins = 10;
-  // If > 0, the walk is confined to the BFS ball of this radius around
-  // the source (a hard window). 0 lets the restart do the localizing,
-  // which is the paper's configuration. For the kWindowCount featurizer
-  // this is the counting window (0 = whole graph).
-  int radius = 0;
   Featurizer featurizer = Featurizer::kRwr;
 };
 
@@ -51,12 +51,11 @@ std::vector<double> RwrFeatureDistribution(const graph::Graph& g,
                                            const RwrConfig& config);
 
 // Ablation featurizer (Table II discussion): plain occurrence counts of
-// features inside the radius window (radius <= 0 means the whole graph),
-// normalized the same way. Preserves strictly less structure than RWR.
+// features over the whole graph, normalized the same way. Every node of
+// `g` gets this one distribution, so it preserves strictly less
+// structure than RWR.
 std::vector<double> CountFeatureDistribution(const graph::Graph& g,
-                                             graph::VertexId source,
-                                             const FeatureSpace& features,
-                                             int radius);
+                                             const FeatureSpace& features);
 
 // round(bins * value) per slot, clamped to [0, bins].
 FeatureVec Discretize(const std::vector<double>& distribution, int bins);

@@ -77,7 +77,6 @@ std::vector<fsm::Pattern> SelectSubgraphFeatures(
   miner_config.min_support =
       fsm::SupportFromPercent(options.min_support_percent, db.size());
   miner_config.max_edges = options.max_edges;
-  miner_config.min_edges = options.min_edges;
   miner_config.max_patterns = options.max_candidates;
   fsm::MineResult mined = fsm::MineFrequentGSpan(db, miner_config);
   if (mined.patterns.empty()) return {};

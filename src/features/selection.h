@@ -44,7 +44,6 @@ std::vector<size_t> GreedySelect(
 struct SubgraphFeatureOptions {
   double min_support_percent = 10.0;
   int max_edges = 5;
-  int min_edges = 1;
   int k = 10;
   double w1 = 1.0;
   double w2 = 1.0;

@@ -92,29 +92,9 @@ MineResult MineFrequentApriori(const GraphDatabase& db,
     return timer.ElapsedSeconds() > config.budget_seconds;
   };
   auto emit = [&](const Pattern& p) {
-    if (p.graph.num_edges() >= config.min_edges) {
-      result.patterns.push_back(p);
-      if (result.patterns.size() >= config.max_patterns) stopped = true;
-    }
+    result.patterns.push_back(p);
+    if (result.patterns.size() >= config.max_patterns) stopped = true;
   };
-
-  if (config.include_single_vertices && config.min_edges <= 0) {
-    std::map<Label, std::vector<int32_t>> by_label;
-    for (size_t gid = 0; gid < db.size() && !stopped; ++gid) {
-      std::set<Label> seen(db.graph(gid).vertex_labels().begin(),
-                           db.graph(gid).vertex_labels().end());
-      for (Label l : seen) by_label[l].push_back(static_cast<int32_t>(gid));
-    }
-    for (const auto& [label, gids] : by_label) {
-      if (static_cast<int64_t>(gids.size()) < config.min_support) continue;
-      Pattern p;
-      p.graph.AddVertex(label);
-      p.support = static_cast<int64_t>(gids.size());
-      p.supporting = gids;
-      emit(p);
-      if (stopped) break;
-    }
-  }
 
   // --- Level 1: frequent single-edge patterns.
   std::map<std::tuple<Label, Label, Label>, std::vector<int32_t>> triples;

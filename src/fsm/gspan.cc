@@ -2,7 +2,6 @@
 #include <cmath>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <span>
 #include <tuple>
 
@@ -386,9 +385,6 @@ class GSpanMiner {
 
   MineResult Run() {
     util::WallTimer timer;
-    if (config_.include_single_vertices && config_.min_edges <= 0) {
-      ReportSingleVertices();
-    }
 
     // Frequent 1-edge seeds, grouped by (from_label, elabel, to_label)
     // with from_label <= to_label; both orientations are kept as
@@ -427,30 +423,6 @@ class GSpanMiner {
   }
 
  private:
-  void ReportSingleVertices() {
-    std::map<Label, std::vector<int32_t>> by_label;
-    for (size_t gid = 0; gid < db_.size(); ++gid) {
-      const Graph& g = *db_[gid];
-      std::map<Label, bool> seen;
-      for (Label l : g.vertex_labels()) {
-        if (!seen[l]) {
-          seen[l] = true;
-          by_label[l].push_back(static_cast<int32_t>(gid));
-        }
-      }
-    }
-    for (const auto& [label, gids] : by_label) {
-      if (static_cast<int64_t>(gids.size()) < config_.min_support) continue;
-      Pattern p;
-      p.graph.AddVertex(label);
-      p.support = static_cast<int64_t>(gids.size());
-      p.supporting = gids;
-      result_.patterns.push_back(std::move(p));
-      Found();
-      if (stopped_) return;
-    }
-  }
-
   // The frame for the children of codes with `depth` edges. A deque, so
   // growing it keeps every frame, and the spans into it, in place.
   Frame& FrameAt(size_t depth) {
@@ -495,11 +467,9 @@ class GSpanMiner {
 
     // The pattern counts toward the cap before its children are looked
     // at, so a capped run stops at the same pattern in either mode.
-    const bool reported =
-        static_cast<int32_t>(code.size()) >= config_.min_edges;
-    if (reported) Found();
+    Found();
     if (stopped_ || static_cast<int32_t>(code.size()) >= config_.max_edges) {
-      if (reported) Emit(code, projected, support);
+      Emit(code, projected, support);
       return;
     }
 
@@ -520,7 +490,7 @@ class GSpanMiner {
     frame.Group(config_.min_support, DfsEdgeLess);
     // A pattern with a frequent child is not maximal: a maximal-only run
     // builds neither its graph nor its supporting list.
-    if (reported && !(maximal_only_ && !frame.children().empty())) {
+    if (!(maximal_only_ && !frame.children().empty())) {
       Emit(code, projected, support);
     }
 

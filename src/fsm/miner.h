@@ -19,16 +19,14 @@ struct Pattern {
 // Shared knobs for the frequent-subgraph miners. Caps beyond min_support
 // exist so the deliberately-exponential baselines (Figs. 2, 9, 11) can be
 // run to a bounded budget; a capped run reports completed=false.
+// Every reported pattern has at least one edge.
 struct MinerConfig {
   int64_t min_support = 1;  // absolute graph count
-  int32_t min_edges = 1;    // only report patterns with >= this many edges
   int32_t max_edges = std::numeric_limits<int32_t>::max();
   // Counts every frequent pattern found, including those MineMaximalGSpan
   // proves non-maximal and never builds.
   size_t max_patterns = std::numeric_limits<size_t>::max();
   double budget_seconds = std::numeric_limits<double>::infinity();
-  // Also report frequent single-vertex patterns (min_edges permitting).
-  bool include_single_vertices = false;
 };
 
 struct MineResult {

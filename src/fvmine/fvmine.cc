@@ -7,7 +7,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/check.h"
-#include "util/timer.h"
 
 namespace graphsig::fvmine {
 namespace {
@@ -65,7 +64,6 @@ class Searcher {
     if (static_cast<int64_t>(n) >= config_.min_support) {
       Search(x.data(), all, 0, 0);
     }
-    result_.completed = !stopped_;
     span.AddWork(static_cast<uint64_t>(result_.states_explored));
     const FvMineMetrics& m = FvMineMetrics::Get();
     m.expansions->Add(static_cast<uint64_t>(result_.states_explored));
@@ -79,10 +77,7 @@ class Searcher {
 
  private:
   double Evaluate(const uint64_t* x, int64_t support) const {
-    const PackedSlice slice{x, width_};
-    return config_.use_normal_approximation
-               ? priors_.PValueAuto(slice, support)
-               : priors_.PValue(slice, support);
+    return priors_.PValue(PackedSlice{x, width_}, support);
   }
 
   // Scratch for the children of one search depth: S' and x' of the
@@ -106,13 +101,7 @@ class Searcher {
   // and `depth` the number of growth steps from the root.
   void Search(const uint64_t* x, std::span<const int32_t> s, size_t b,
               size_t depth) {
-    if (stopped_) return;
     ++result_.states_explored;
-    if ((result_.states_explored & 0xff) == 0 &&
-        timer_.ElapsedSeconds() > config_.budget_seconds) {
-      stopped_ = true;
-      return;
-    }
 
     if (tarone_) {
       // Every evaluated state joins the testability family.
@@ -127,10 +116,6 @@ class Searcher {
       sv.support = static_cast<int64_t>(s.size());
       sv.p_value = p_value;
       result_.vectors.push_back(std::move(sv));
-      if (result_.vectors.size() >= config_.max_results) {
-        stopped_ = true;
-        return;
-      }
     }
 
     // Every S' is a subset of S, so one buffer of |S| slots serves them
@@ -202,7 +187,6 @@ class Searcher {
       // The child's own level sits deeper, so S' and x' stay put while
       // its subtree runs.
       Search(x_prime, {s_prime, s_prime_size}, i, depth + 1);
-      if (stopped_) return;
     }
   }
 
@@ -212,12 +196,10 @@ class Searcher {
   size_t width_;
   size_t words_;
   FvMineResult result_;
-  util::WallTimer timer_;
   std::deque<Level> levels_;  // levels_[d]: children of a depth-d state
   std::vector<uint64_t> ceiling_buffer_;
   bool tarone_ = false;
   double emit_bound_ = 1.0;
-  bool stopped_ = false;
   // Local work tallies, flushed to the registry once in Run().
   uint64_t support_checks_ = 0;
   uint64_t ceiling_prunes_ = 0;

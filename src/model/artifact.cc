@@ -4,6 +4,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "features/rwr.h"
 #include "graph/serialize.h"
 #include "util/binary.h"
 #include "util/durable_file.h"
@@ -146,10 +147,12 @@ void EncodeClassifier(const classify::SigKnnModel& model, ByteWriter* w) {
   w->WriteI32(model.k);
   w->WriteF64(model.delta);
   w->WriteF64(model.rwr.restart_prob);
-  w->WriteF64(model.rwr.epsilon);
-  w->WriteI32(model.rwr.max_iterations);
+  // The walk's tolerance, sweep cap and window are build constants; the
+  // section keeps their slots, and the loader accepts only these values.
+  w->WriteF64(features::kRwrEpsilon);
+  w->WriteI32(features::kRwrMaxIterations);
   w->WriteI32(model.rwr.bins);
-  w->WriteI32(model.rwr.radius);
+  w->WriteI32(0);  // radius: the walk covers the whole graph
   w->WriteU8(static_cast<uint8_t>(model.rwr.featurizer));
   EncodeFeatureSpace(model.space, w);
   w->WriteU64(model.positive.size());
@@ -203,6 +206,28 @@ Status CheckScorerParameters(const classify::SigKnnModel& model) {
   return Status::Ok();
 }
 
+// The walk's tolerance, sweep cap and window are this build's constants,
+// so a section that asks for any other walk, such as one of 2^31 sweeps
+// per query node, is refused rather than run.
+Status CheckRwrConstants(double epsilon, int32_t max_iterations,
+                         int32_t radius) {
+  if (epsilon != features::kRwrEpsilon) {  // NaN included
+    return Status::ParseError(util::StrPrintf(
+        "classifier rwr.epsilon must be %g, got %g", features::kRwrEpsilon,
+        epsilon));
+  }
+  if (max_iterations != features::kRwrMaxIterations) {
+    return Status::ParseError(util::StrPrintf(
+        "classifier rwr.max_iterations must be %d, got %d",
+        features::kRwrMaxIterations, max_iterations));
+  }
+  if (radius != 0) {
+    return Status::ParseError(util::StrPrintf(
+        "classifier rwr.radius must be 0, got %d", radius));
+  }
+  return Status::Ok();
+}
+
 Status CheckVectorWidths(const std::vector<features::FeatureVec>& set,
                          size_t width, const char* name) {
   for (size_t i = 0; i < set.size(); ++i) {
@@ -230,16 +255,19 @@ Status DecodeClassifier(ByteReader* r, classify::SigKnnModel* out) {
   GS_RETURN_IF_ERROR(r->ReadI32(&model.k));
   GS_RETURN_IF_ERROR(r->ReadF64(&model.delta));
   GS_RETURN_IF_ERROR(r->ReadF64(&model.rwr.restart_prob));
-  GS_RETURN_IF_ERROR(r->ReadF64(&model.rwr.epsilon));
-  GS_RETURN_IF_ERROR(r->ReadI32(&model.rwr.max_iterations));
+  double epsilon = 0.0;
+  int32_t max_iterations = 0, radius = 0;
+  GS_RETURN_IF_ERROR(r->ReadF64(&epsilon));
+  GS_RETURN_IF_ERROR(r->ReadI32(&max_iterations));
   GS_RETURN_IF_ERROR(r->ReadI32(&model.rwr.bins));
-  GS_RETURN_IF_ERROR(r->ReadI32(&model.rwr.radius));
+  GS_RETURN_IF_ERROR(r->ReadI32(&radius));
   uint8_t featurizer;
   GS_RETURN_IF_ERROR(r->ReadU8(&featurizer));
   if (featurizer > static_cast<uint8_t>(features::Featurizer::kWindowCount)) {
     return Status::ParseError("bad featurizer id in classifier section");
   }
   model.rwr.featurizer = static_cast<features::Featurizer>(featurizer);
+  GS_RETURN_IF_ERROR(CheckRwrConstants(epsilon, max_iterations, radius));
   GS_RETURN_IF_ERROR(CheckScorerParameters(model));
   GS_RETURN_IF_ERROR(DecodeFeatureSpace(r, &model.space));
   if (model.space.size() == 0) {

@@ -110,18 +110,4 @@ double NormalCdf(double z) {
   return 0.5 * std::erfc(-z / std::sqrt(2.0));
 }
 
-double BinomialUpperTailNormal(int64_t n, int64_t k, double p) {
-  GS_CHECK_GE(n, 0);
-  if (k <= 0) return 1.0;
-  if (k > n) return 0.0;
-  if (p <= 0.0) return 0.0;
-  if (p >= 1.0) return 1.0;
-  const double mean = n * p;
-  const double stddev = std::sqrt(n * p * (1.0 - p));
-  if (stddev == 0.0) return mean >= k ? 1.0 : 0.0;
-  // Continuity correction: P[X >= k] ~ P[Z >= (k - 0.5 - mean) / sd].
-  const double z = (static_cast<double>(k) - 0.5 - mean) / stddev;
-  return 1.0 - NormalCdf(z);
-}
-
 }  // namespace graphsig::stats

@@ -24,11 +24,6 @@ double BinomialUpperTail(int64_t n, int64_t k, double p);
 // Standard normal CDF.
 double NormalCdf(double z);
 
-// Normal approximation to the binomial upper tail with continuity
-// correction; the paper notes this is usable when n*p and n*(1-p) are
-// both large.
-double BinomialUpperTailNormal(int64_t n, int64_t k, double p);
-
 }  // namespace graphsig::stats
 
 #endif  // GRAPHSIG_STATS_DISTRIBUTIONS_H_

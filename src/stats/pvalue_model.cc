@@ -120,39 +120,4 @@ double FeaturePriors::MinAchievablePValue(
                   static_cast<double>(population_size_));
 }
 
-double FeaturePriors::PValueNormal(const features::FeatureVec& x,
-                                   int64_t observed_support) const {
-  const double p = ProbRandomSuperVector(x);
-  return BinomialUpperTailNormal(population_size_, observed_support, p);
-}
-
-double FeaturePriors::PValueNormal(const features::PackedSlice& x,
-                                   int64_t observed_support) const {
-  const double p = ProbRandomSuperVector(x);
-  return BinomialUpperTailNormal(population_size_, observed_support, p);
-}
-
-double FeaturePriors::PValueAutoFromProb(double p, int64_t observed_support,
-                                         double large_threshold) const {
-  const double m = static_cast<double>(population_size_);
-  if (m * p >= large_threshold && m * (1.0 - p) >= large_threshold) {
-    return BinomialUpperTailNormal(population_size_, observed_support, p);
-  }
-  return BinomialUpperTail(population_size_, observed_support, p);
-}
-
-double FeaturePriors::PValueAuto(const features::FeatureVec& x,
-                                 int64_t observed_support,
-                                 double large_threshold) const {
-  return PValueAutoFromProb(ProbRandomSuperVector(x), observed_support,
-                            large_threshold);
-}
-
-double FeaturePriors::PValueAuto(const features::PackedSlice& x,
-                                 int64_t observed_support,
-                                 double large_threshold) const {
-  return PValueAutoFromProb(ProbRandomSuperVector(x), observed_support,
-                            large_threshold);
-}
-
 }  // namespace graphsig::stats

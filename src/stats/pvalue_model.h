@@ -56,26 +56,9 @@ class FeaturePriors {
   double MinAchievablePValue(const features::FeatureVec& x) const;
   double MinAchievablePValue(const features::PackedSlice& x) const;
 
-  // Normal-approximation p-value (for large m*P; exposed for the
-  // approximation-quality tests and as a faster alternative).
-  double PValueNormal(const features::FeatureVec& x,
-                      int64_t observed_support) const;
-  double PValueNormal(const features::PackedSlice& x,
-                      int64_t observed_support) const;
-
-  // The paper's hybrid (Section III-B): the normal approximation when
-  // both m*P(x) and m*(1-P(x)) exceed `large_threshold`, the exact
-  // binomial tail otherwise.
-  double PValueAuto(const features::FeatureVec& x, int64_t observed_support,
-                    double large_threshold = 50.0) const;
-  double PValueAuto(const features::PackedSlice& x, int64_t observed_support,
-                    double large_threshold = 50.0) const;
-
  private:
   void CountValue(size_t slot, int value);
   void FinalizeTailCounts();
-  double PValueAutoFromProb(double p, int64_t observed_support,
-                            double large_threshold) const;
 
   int bins_;
   int64_t population_size_;

@@ -2,18 +2,21 @@
 
 #include <utility>
 
+#include "features/rwr.h"
 #include "util/strings.h"
 
 namespace graphsig::stream {
 namespace {
 
 std::string ConfigFingerprint(const core::GraphSigConfig& config) {
-  // num_threads is deliberately absent: output is thread-invariant.
+  // num_threads is deliberately absent: output is thread-invariant. The
+  // RWR tolerance, sweep cap and window (0) are build constants that keep
+  // their places, so fingerprints in existing logs still match.
   return util::StrPrintf(
-      "v2|rwr=%.17g,%.17g,%d,%d,%d,%d|topk=%d|pv=%.17g|freq=%.17g|"
+      "v2|rwr=%.17g,%.17g,%d,%d,0,%d|topk=%d|pv=%.17g|freq=%.17g|"
       "radius=%d|fsg=%.17g|maxe=%d|ceil=%d|tarone=%.17g|dbfreq=%d",
-      config.rwr.restart_prob, config.rwr.epsilon,
-      config.rwr.max_iterations, config.rwr.bins, config.rwr.radius,
+      config.rwr.restart_prob, features::kRwrEpsilon,
+      features::kRwrMaxIterations, config.rwr.bins,
       static_cast<int>(config.rwr.featurizer), config.top_k_atoms,
       config.max_pvalue, config.min_freq_percent, config.cutoff_radius,
       config.fsg_freq_percent, config.fsm_max_edges,

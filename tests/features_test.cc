@@ -7,6 +7,7 @@
 #include "features/packed_vector_set.h"
 #include "features/rwr.h"
 #include "features/selection.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
 
 namespace graphsig::features {
@@ -258,22 +259,6 @@ TEST(RwrTest, SymmetricNeighborsGetEqualMass) {
   EXPECT_NEAR(p[2], p[3], 1e-9);
 }
 
-TEST(RwrTest, RadiusConfinesTheWalk) {
-  // Path 0-1-2-3; radius 1 from node 0 must leave nodes 2,3 untouched.
-  Graph g;
-  for (int i = 0; i < 4; ++i) g.AddVertex(0);
-  g.AddEdge(0, 1, 0);
-  g.AddEdge(1, 2, 0);
-  g.AddEdge(2, 3, 0);
-  RwrConfig config;
-  config.radius = 1;
-  auto p = RwrStationaryDistribution(g, 0, config);
-  EXPECT_GT(p[0], 0.0);
-  EXPECT_GT(p[1], 0.0);
-  EXPECT_EQ(p[2], 0.0);
-  EXPECT_EQ(p[3], 0.0);
-}
-
 TEST(RwrTest, IsolatedNodeKeepsAllMass) {
   Graph g;
   g.AddVertex(0);
@@ -352,9 +337,9 @@ TEST(RwrTest, DatabaseToVectorsProvenance) {
 }
 
 TEST(RwrTest, CountFeaturizerIgnoresProximity) {
-  // The count featurizer gives near and far N chains identical mass —
-  // exactly the structure loss RWR avoids (compare with
-  // CloserFeaturesGetMoreMass above).
+  // The count featurizer gives near and far N chains identical mass, so
+  // every node gets the same vector — exactly the structure loss RWR
+  // avoids (compare with CloserFeaturesGetMoreMass above).
   Graph g;
   g.AddVertex(0);
   for (int i = 1; i <= 3; ++i) g.AddVertex(1);
@@ -362,9 +347,32 @@ TEST(RwrTest, CountFeaturizerIgnoresProximity) {
   GraphDatabase db;
   db.Add(g);
   FeatureSpace fs = FeatureSpace::VertexLabelsOnly(db);
-  auto from0 = CountFeatureDistribution(g, 0, fs, 0);
-  auto from3 = CountFeatureDistribution(g, 3, fs, 0);
-  EXPECT_EQ(from0, from3);  // whole-graph counts are source-independent
+  RwrConfig config;
+  config.featurizer = Featurizer::kWindowCount;
+  const FeatureVec counts =
+      Discretize(CountFeatureDistribution(g, fs), config.bins);
+  auto vectors = GraphToVectors(g, 0, fs, config);
+  ASSERT_EQ(vectors.size(), 4u);
+  for (const NodeVector& nv : vectors) EXPECT_EQ(nv.values, counts);
+}
+
+TEST(RwrTest, SweepCapEndsAWalkThatNeverConverges) {
+  // restart_prob 1e-6 is legal. On one edge the walker's mass swings
+  // between the two ends and the swing shrinks by only (1 - 1e-6) per
+  // sweep, so no sweep moves less than the tolerance: the cap alone
+  // ends the walk, whatever restart_prob an artifact carries.
+  Graph g;
+  g.AddVertex(0);
+  g.AddVertex(0);
+  g.AddEdge(0, 1, 0);
+  RwrConfig config;
+  config.restart_prob = 1e-6;
+  obs::Counter* sweeps =
+      obs::MetricsRegistry::Global().GetCounter("rwr/power_iterations");
+  const uint64_t before = sweeps->value();
+  auto p = RwrStationaryDistribution(g, 0, config);
+  EXPECT_EQ(sweeps->value() - before, 1000u);
+  EXPECT_NEAR(p[0] + p[1], 1.0, 1e-9);
 }
 
 TEST(SelectionTest, CumulativeCoverageEndsAtHundred) {

@@ -145,22 +145,6 @@ TEST(GSpanTest, SupportingListsAreCorrect) {
   EXPECT_EQ(result.patterns[0].supporting, (std::vector<int32_t>{0, 2}));
 }
 
-TEST(GSpanTest, SingleVertexPatternsOptIn) {
-  GraphDatabase db;
-  db.Add(Path({0, 1}, {0}));
-  db.Add(Path({0, 2}, {0}));
-  MinerConfig config;
-  config.min_support = 2;
-  config.min_edges = 0;
-  config.include_single_vertices = true;
-  MineResult result = MineFrequentGSpan(db, config);
-  auto patterns = ToCanonicalMap(result);
-  Graph v0;
-  v0.AddVertex(0);
-  EXPECT_TRUE(patterns.count(CanonicalCode(v0)));
-  EXPECT_EQ(patterns[CanonicalCode(v0)], 2);
-}
-
 TEST(GSpanTest, MaxPatternsCapSetsIncomplete) {
   GraphDatabase db = RandomDatabase(99, 8, 6, 3, 2, 2);
   MinerConfig config;

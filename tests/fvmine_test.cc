@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <map>
 #include <set>
 
@@ -144,19 +143,6 @@ TEST(FvMineTest, SupportThresholdPrunes) {
   }
 }
 
-TEST(FvMineTest, MaxResultsCapStops) {
-  auto population = RandomPopulation(44, 14, 6, 3);
-  auto packed = features::PackedVectorSet::FromVectors(population);
-  stats::FeaturePriors priors(population, 10);
-  FvMineConfig config;
-  config.min_support = 1;
-  config.max_pvalue = 0.99;
-  config.max_results = 2;
-  FvMineResult result = FvMine(packed, priors, config);
-  EXPECT_LE(result.vectors.size(), 2u);
-  EXPECT_FALSE(result.completed);
-}
-
 // Exhaustive cross-validation against subset enumeration, with and
 // without the ceiling prune (the prune must not change the output).
 class FvMinePropertyTest : public ::testing::TestWithParam<int> {};
@@ -200,33 +186,6 @@ TEST_P(FvMinePropertyTest, CeilingPruneOnlyReducesWork) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FvMinePropertyTest, ::testing::Range(0, 15));
-
-TEST(FvMineTest, NormalApproximationAgreesOnLargePopulations) {
-  // On a large population the Section III-B hybrid must emit nearly the
-  // same closed-vector set as the exact binomial tail (only borderline
-  // p-values can flip).
-  auto population = RandomPopulation(99, 400, 6, 3);
-  auto packed = features::PackedVectorSet::FromVectors(population);
-  stats::FeaturePriors priors(population, 10);
-  FvMineConfig config;
-  config.min_support = 8;
-  config.max_pvalue = 1e-3;
-  FvMineResult exact = FvMine(packed, priors, config);
-  config.use_normal_approximation = true;
-  FvMineResult approx = FvMine(packed, priors, config);
-
-  std::set<FeatureVec> exact_set, approx_set;
-  for (const auto& sv : exact.vectors) exact_set.insert(sv.vector);
-  for (const auto& sv : approx.vectors) approx_set.insert(sv.vector);
-  std::set<FeatureVec> both;
-  std::set_intersection(exact_set.begin(), exact_set.end(),
-                        approx_set.begin(), approx_set.end(),
-                        std::inserter(both, both.begin()));
-  const size_t unions =
-      exact_set.size() + approx_set.size() - both.size();
-  ASSERT_GT(unions, 0u);
-  EXPECT_GE(static_cast<double>(both.size()) / unions, 0.9);
-}
 
 }  // namespace
 }  // namespace graphsig::fvmine

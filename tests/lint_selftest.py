@@ -40,6 +40,15 @@ class LintSelfTest(unittest.TestCase):
         self.assertEqual(code, 1, out)
         self.assertIn("[raw-mutex]", out)
 
+    def test_raw_ofstream_reported(self):
+        for dest in ("src", "tools"):
+            code, out = run_lint_on(["raw_ofstream.cc"], dest_dir=dest)
+            self.assertEqual(code, 1, out)
+            self.assertIn("[raw-ofstream]", out)
+        # Tests, benches and fuzz seeds may write scratch files freely.
+        code, out = run_lint_on(["raw_ofstream.cc"], dest_dir="tests")
+        self.assertEqual(code, 0, out)
+
     def test_valid_waiver_accepted(self):
         code, out = run_lint_on(["valid_waiver.cc"])
         self.assertEqual(code, 0, out)

@@ -6,6 +6,7 @@
 #include <functional>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "classify/sig_knn.h"
@@ -228,11 +229,7 @@ void ExpectArtifactsEqual(const ModelArtifact& a, const ModelArtifact& b) {
   EXPECT_EQ(a.classifier.k, b.classifier.k);
   EXPECT_EQ(a.classifier.delta, b.classifier.delta);
   EXPECT_EQ(a.classifier.rwr.restart_prob, b.classifier.rwr.restart_prob);
-  EXPECT_EQ(a.classifier.rwr.epsilon, b.classifier.rwr.epsilon);
-  EXPECT_EQ(a.classifier.rwr.max_iterations,
-            b.classifier.rwr.max_iterations);
   EXPECT_EQ(a.classifier.rwr.bins, b.classifier.rwr.bins);
-  EXPECT_EQ(a.classifier.rwr.radius, b.classifier.rwr.radius);
   EXPECT_EQ(a.classifier.rwr.featurizer, b.classifier.rwr.featurizer);
   EXPECT_EQ(a.classifier.space, b.classifier.space);
   EXPECT_EQ(a.classifier.positive, b.classifier.positive);
@@ -381,6 +378,26 @@ TEST(ModelArtifactTest, MissingFileIsIoError) {
   EXPECT_EQ(loaded.status().code(), util::StatusCode::kIoError);
 }
 
+// Where the classifier section (id 4) starts in an encoded artifact,
+// read from the section table: 20-byte entries of u32 id, u64 offset
+// and u64 size from byte 16, their count at byte 12.
+size_t ClassifierSectionOffset(std::string_view bytes) {
+  util::ByteReader r(bytes);
+  uint32_t count = 0;
+  EXPECT_TRUE(r.Seek(12).ok());
+  EXPECT_TRUE(r.ReadU32(&count).ok());
+  for (uint32_t i = 0; i < count; ++i) {
+    uint32_t id = 0;
+    uint64_t offset = 0, size = 0;
+    EXPECT_TRUE(r.ReadU32(&id).ok());
+    EXPECT_TRUE(r.ReadU64(&offset).ok());
+    EXPECT_TRUE(r.ReadU64(&size).ok());
+    if (id == 4) return static_cast<size_t>(offset);
+  }
+  ADD_FAILURE() << "no classifier section";
+  return 0;
+}
+
 // Each case is a copy of the shared artifact with one classifier value
 // that Score cannot run with: the loader must refuse it, not the first
 // query.
@@ -436,6 +453,53 @@ TEST(ModelArtifactTest, RejectsClassifierTheScorerCannotRun) {
     EXPECT_NE(decoded.status().message().find(c.field), std::string::npos)
         << c.name << ": " << decoded.status().ToString();
   }
+
+  // The walk's tolerance, sweep cap and window are build constants with
+  // no model field, so these cases patch their bytes in the encoded
+  // classifier section. After the presence flag (u8), k (i32), delta and
+  // restart_prob (f64) come epsilon (f64), max_iterations (i32), bins
+  // (i32) and radius (i32).
+  auto f64 = [](double v) {
+    util::ByteWriter w;
+    w.WriteF64(v);
+    return std::move(w.TakeBuffer());
+  };
+  auto i32 = [](int32_t v) {
+    util::ByteWriter w;
+    w.WriteI32(v);
+    return std::move(w.TakeBuffer());
+  };
+  const std::string pristine = EncodeArtifact(TestArtifact());
+  const size_t epsilon_at = ClassifierSectionOffset(pristine) + 1 + 4 + 16;
+  const size_t max_iterations_at = epsilon_at + 8;
+  const size_t radius_at = max_iterations_at + 8;
+  ASSERT_EQ(pristine.substr(epsilon_at, 8), f64(1e-9));
+  ASSERT_EQ(pristine.substr(max_iterations_at, 4), i32(1000));
+  ASSERT_EQ(pristine.substr(radius_at, 4), i32(0));
+  struct Patch {
+    const char* name;
+    const char* field;  // the error must name it
+    size_t offset;
+    std::string bytes;
+  };
+  const std::vector<Patch> patches = {
+      {"epsilon NaN", "rwr.epsilon", epsilon_at, f64(nan)},
+      {"epsilon 0", "rwr.epsilon", epsilon_at, f64(0.0)},
+      {"max_iterations 2^31 - 1", "rwr.max_iterations", max_iterations_at,
+       i32(std::numeric_limits<int32_t>::max())},
+      {"radius 2", "rwr.radius", radius_at, i32(2)},
+  };
+  for (const Patch& p : patches) {
+    std::string bytes = pristine;
+    bytes.replace(p.offset, p.bytes.size(), p.bytes);
+    auto decoded = DecodeArtifact(RestampChecksum(std::move(bytes)));
+    ASSERT_FALSE(decoded.ok()) << p.name << " decoded";
+    EXPECT_EQ(decoded.status().code(), util::StatusCode::kParseError)
+        << p.name;
+    EXPECT_NE(decoded.status().message().find(p.field), std::string::npos)
+        << p.name << ": " << decoded.status().ToString();
+  }
+
   // restart_prob 1 and the smallest k stay valid.
   ModelArtifact edge = TestArtifact();
   edge.classifier.rwr.restart_prob = 1.0;

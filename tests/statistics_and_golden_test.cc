@@ -4,8 +4,6 @@
 #include "data/datasets.h"
 #include "fsm/dfs_code.h"
 #include "graph/statistics.h"
-#include "stats/pvalue_model.h"
-#include "util/rng.h"
 
 namespace graphsig {
 namespace {
@@ -36,37 +34,6 @@ TEST(StatisticsTest, EmptyDatabase) {
   EXPECT_EQ(s.num_graphs, 0u);
   EXPECT_EQ(s.mean_vertices, 0.0);
   EXPECT_EQ(s.top5_vertex_label_coverage_percent, 0.0);
-}
-
-TEST(PValueAutoTest, MatchesExactInSmallRegimeAndNormalInLarge) {
-  util::Rng rng(92);
-  std::vector<features::FeatureVec> population;
-  for (int i = 0; i < 2000; ++i) {
-    features::FeatureVec v(8);
-    for (auto& x : v) {
-      x = rng.NextBernoulli(0.4)
-              ? static_cast<int16_t>(1 + rng.NextBounded(9))
-              : 0;
-    }
-    population.push_back(std::move(v));
-  }
-  stats::FeaturePriors priors(population, 10);
-
-  // Common vector (large m*P): auto == normal, and both close to exact.
-  features::FeatureVec common(8, 0);
-  common[0] = 1;
-  const double p_common = priors.ProbRandomSuperVector(common);
-  ASSERT_GT(p_common * 2000, 50.0);
-  EXPECT_DOUBLE_EQ(priors.PValueAuto(common, 900),
-                   priors.PValueNormal(common, 900));
-  EXPECT_NEAR(priors.PValueAuto(common, 900), priors.PValue(common, 900),
-              0.02);
-
-  // Rare vector (small m*P): auto == exact.
-  features::FeatureVec rare(8, 9);
-  const double p_rare = priors.ProbRandomSuperVector(rare);
-  ASSERT_LT(p_rare * 2000, 50.0);
-  EXPECT_DOUBLE_EQ(priors.PValueAuto(rare, 3), priors.PValue(rare, 3));
 }
 
 // Golden regression: a fixed seed and configuration must keep producing

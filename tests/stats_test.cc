@@ -75,17 +75,6 @@ TEST(DistributionsTest, NormalCdf) {
   EXPECT_NEAR(NormalCdf(-1.0) + NormalCdf(1.0), 1.0, 1e-12);
 }
 
-TEST(DistributionsTest, NormalApproximationClosesOnExact) {
-  // Large n, p away from the edges: the approximation should be close.
-  const int64_t n = 5000;
-  const double p = 0.3;
-  for (int64_t k : {1400, 1500, 1550, 1600}) {
-    EXPECT_NEAR(BinomialUpperTailNormal(n, k, p), BinomialUpperTail(n, k, p),
-                5e-3)
-        << "k=" << k;
-  }
-}
-
 // --- FeaturePriors over the paper's Table I vector database.
 class TableIPriors : public ::testing::Test {
  protected:

@@ -25,8 +25,6 @@
 int main(int argc, char** argv) {
   using namespace graphsig;
   tools::Flags flags(argc, argv);
-  // Ctrl-C mid-write must not leave a partial output file behind.
-  tools::InstallSignalGuard();
   const std::string train_path = flags.GetString("train", "");
   const std::string test_path = flags.GetString("test", "");
   if (train_path.empty() || test_path.empty()) {

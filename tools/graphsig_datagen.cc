@@ -13,8 +13,6 @@
 int main(int argc, char** argv) {
   using namespace graphsig;
   tools::Flags flags(argc, argv);
-  // Ctrl-C mid-write must not leave a partial output file behind.
-  tools::InstallSignalGuard();
   const std::string output = flags.GetString("output", "");
   const std::string screen = flags.GetString("screen", "AIDS");
   if (output.empty()) {

@@ -30,8 +30,6 @@
 int main(int argc, char** argv) {
   using namespace graphsig;
   tools::Flags flags(argc, argv);
-  // Ctrl-C mid-write must not leave a partial output file behind.
-  tools::InstallSignalGuard();
   const std::string input = flags.GetString("input", "");
   const std::string output = flags.GetString("output", "");
   if (input.empty() || output.empty()) {

@@ -30,7 +30,6 @@
 int main(int argc, char** argv) {
   using namespace graphsig;
   tools::Flags flags(argc, argv);
-  tools::InstallSignalGuard();
   const std::string log_path = flags.GetString("log", "");
   if (log_path.empty()) {
     std::fprintf(stderr,

@@ -141,7 +141,6 @@ int main(int argc, char** argv) {
   using namespace graphsig;
   namespace wire = graphsig::net::wire;
   tools::Flags flags(argc, argv);
-  tools::InstallSignalGuard();
   const std::string input = flags.GetString("input", "");
   if (input.empty() || !flags.Has("port")) {
     std::fprintf(stderr,

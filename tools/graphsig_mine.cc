@@ -9,10 +9,9 @@
 // frequency, and the pattern as SMILES plus an edge list.
 
 #include <cstdio>
-
-#include <fstream>
 #include <limits>
 #include <optional>
+#include <sstream>
 
 #include "core/graphsig.h"
 #include "core/report.h"
@@ -24,8 +23,6 @@
 int main(int argc, char** argv) {
   using namespace graphsig;
   tools::Flags flags(argc, argv);
-  // Ctrl-C mid-write must not leave a partial output file behind.
-  tools::InstallSignalGuard();
   const std::string input = flags.GetString("input", "");
   if (input.empty()) {
     std::fprintf(stderr,
@@ -92,17 +89,10 @@ int main(int argc, char** argv) {
 
   const std::string csv_path = flags.GetString("csv", "");
   if (!csv_path.empty()) {
-    std::ofstream csv(csv_path);
-    if (!csv) {
-      std::fprintf(stderr, "error: cannot open %s\n", csv_path.c_str());
-      return 1;
-    }
+    std::ostringstream csv;
     core::WriteCsv(result, csv);
-    csv.flush();
-    if (!csv) {
-      std::fprintf(stderr, "error: write failed: %s\n", csv_path.c_str());
-      return 1;
-    }
+    util::Status written = tools::WriteFile(csv_path, csv.str());
+    if (!written.ok()) tools::Fail(written);
     std::printf("csv written to %s\n", csv_path.c_str());
   }
 

@@ -32,8 +32,6 @@
 int main(int argc, char** argv) {
   using namespace graphsig;
   tools::Flags flags(argc, argv);
-  // Ctrl-C mid-write must not leave a partial output file behind.
-  tools::InstallSignalGuard();
   const std::string model_path = flags.GetString("model", "");
   if (model_path.empty()) {
     std::fprintf(stderr,

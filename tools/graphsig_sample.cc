@@ -133,7 +133,6 @@ int RunFrequency(const graph::GraphDatabase& db, const graph::Graph& pattern,
 }  // namespace
 
 int main(int argc, char** argv) {
-  tools::InstallSignalGuard();
   tools::Flags flags(argc, argv);
   const std::string input = flags.GetString("input", "");
   const std::string mode = flags.GetString("mode", "topk");

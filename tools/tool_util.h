@@ -1,21 +1,16 @@
 #ifndef GRAPHSIG_TOOLS_TOOL_UTIL_H_
 #define GRAPHSIG_TOOLS_TOOL_UTIL_H_
 
-// Shared flag parsing, dataset I/O, and signal handling for the
-// command-line tools.
+// Shared flag parsing and dataset I/O for the command-line tools.
 
-#include <unistd.h>
-
-#include <atomic>
-#include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <type_traits>
 
 #include "core/graphsig.h"
@@ -23,84 +18,12 @@
 #include "data/smiles.h"
 #include "graph/io.h"
 #include "obs/metrics.h"
-#include "util/logging.h"
+#include "util/durable_file.h"
 #include "util/parallel.h"
 #include "util/status.h"
 #include "util/strings.h"
 
 namespace graphsig::tools {
-
-// ---------------------------------------------------------------------
-// SIGINT/SIGTERM output guard. A Ctrl-C in the middle of WriteFile used
-// to leave a truncated CSV or JSON file on disk that a later run would
-// happily try to read. Every tool installs this guard first thing in
-// main(); paths registered with GuardOutput are unlinked by the handler
-// if the signal lands before CommitOutput. Model artifacts need no
-// guard: model::SaveArtifact renames a complete file into place.
-//
-// The handler stays within async-signal-safe territory where it
-// matters (unlink, signal, raise); the log-sink flush is the one
-// pragmatic exception so buffered diagnostics survive the kill.
-
-namespace internal {
-
-inline constexpr int kMaxGuardedOutputs = 8;
-inline constexpr int kMaxGuardedPath = 4096;
-
-// Slot path bytes are written by the main thread before the release
-// store to `active`; the handler's acquire load orders the reads.
-inline std::atomic<bool> g_guard_active[kMaxGuardedOutputs];
-inline char g_guard_paths[kMaxGuardedOutputs][kMaxGuardedPath];
-
-inline void SignalGuardHandler(int sig) {
-  for (int i = 0; i < kMaxGuardedOutputs; ++i) {
-    if (g_guard_active[i].load(std::memory_order_acquire)) {
-      ::unlink(g_guard_paths[i]);
-    }
-  }
-  graphsig::util::FlushLogs();
-  std::signal(sig, SIG_DFL);
-  std::raise(sig);
-}
-
-}  // namespace internal
-
-// Installs the SIGINT/SIGTERM guard. Call once at the top of main().
-// graphsig_serve installs its own drain handler instead — a server
-// wants graceful shutdown, not unlink-and-die.
-inline void InstallSignalGuard() {
-  std::signal(SIGINT, internal::SignalGuardHandler);
-  std::signal(SIGTERM, internal::SignalGuardHandler);
-}
-
-// Marks `path` as an in-progress output: if a SIGINT/SIGTERM lands
-// before CommitOutput(path), the handler deletes the partial file.
-// Call from the main thread only.
-inline void GuardOutput(const std::string& path) {
-  if (path.size() + 1 > internal::kMaxGuardedPath) return;
-  for (int i = 0; i < internal::kMaxGuardedOutputs; ++i) {
-    if (internal::g_guard_active[i].load(std::memory_order_relaxed)) {
-      continue;
-    }
-    std::memcpy(internal::g_guard_paths[i], path.c_str(),
-                path.size() + 1);
-    internal::g_guard_active[i].store(true, std::memory_order_release);
-    return;
-  }
-  // More than kMaxGuardedOutputs files open at once: the extras go
-  // unguarded (no tool writes that many concurrently).
-}
-
-// The output at `path` is complete; stop guarding it.
-inline void CommitOutput(const std::string& path) {
-  for (int i = 0; i < internal::kMaxGuardedOutputs; ++i) {
-    if (internal::g_guard_active[i].load(std::memory_order_acquire) &&
-        path == internal::g_guard_paths[i]) {
-      internal::g_guard_active[i].store(false, std::memory_order_release);
-      return;
-    }
-  }
-}
 
 // "--name=value" flags plus bare "--name" booleans ("true").
 class Flags {
@@ -217,23 +140,12 @@ inline util::Result<std::string> ReadFile(const std::string& path) {
   return buffer.str();
 }
 
+// Every tool output goes through here: `<path>.tmp` is written, fsynced
+// and renamed over `path`, so a Ctrl-C, a SIGKILL or a power cut leaves
+// the old file or the whole new one, never a truncated one.
 inline util::Status WriteFile(const std::string& path,
-                              const std::string& content) {
-  // Guarded while in progress: a SIGINT/SIGTERM mid-write unlinks the
-  // partial file instead of leaving it for a later run to trip over.
-  GuardOutput(path);
-  std::ofstream out(path);
-  if (!out) {
-    CommitOutput(path);
-    return util::Status::IoError("cannot open: " + path);
-  }
-  out << content;
-  // Flush before checking: a short write can sit in the stream buffer
-  // and only fail at close, which the destructor would swallow.
-  out.flush();
-  CommitOutput(path);
-  if (!out) return util::Status::IoError("write failed: " + path);
-  return util::Status::Ok();
+                              std::string_view content) {
+  return util::WriteFileAtomically(path, content);
 }
 
 // Dumps the process-wide metrics registry (src/obs) as JSON — the
